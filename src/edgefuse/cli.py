@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import comms, ensemble, io, tiling
+from . import comms, ensemble, io, nn, tiling
 from .config import ConfigError, ExperimentConfig
 from .datasets import (Dataset, EdgeAssignment, bin_regression_targets,
                        load_csv_regression, load_idx_images,
@@ -499,7 +499,8 @@ def main(argv=None) -> int:
                               "cumulative_mb": result.ledger.to_summary()["cumulative_mb"],
                               "accuracy": result.report.accuracy,
                               "rmse": result.report.rmse}))
-    except (ConfigError, StageError, io.ArtifactError, ValueError) as exc:
+    except (ConfigError, StageError, io.ArtifactError, ValueError,
+            nn.NonFiniteError, nn.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,9 +29,9 @@ import numpy as np
 from . import nn
 from .datasets import Dataset, EdgeAssignment
 from .edge import EdgeArtifact
-from .ensemble import (EmbeddingMatrix, EnsembleConfig, _as_conv_input,
-                       build_ensemble_dataset, evaluate, make_ensemble_model,
-                       predict, predict_proba)
+from .ensemble import (EnsembleConfig, _as_conv_input, build_ensemble_dataset, evaluate,
+                       make_ensemble_model, predict, predict_proba, stack_embeddings,
+                       train_ensemble)
 from .seeding import derived_seed, rng_from
 from .vae import Vae, fill, missing_slot_latents, train_vae
 
@@ -235,6 +235,10 @@ def sample_stream(n: int, passes: int, batch_size: int, rng: np.random.Generator
         yield carry
 
 
+class StreamScheduleError(RuntimeError):
+    """The sample stream did not visit every sample ep_ens times."""
+
+
 @dataclass
 class ScenarioRun:
     model: nn.Model
@@ -242,22 +246,9 @@ class ScenarioRun:
     report: object                      # MetricReport
     vaes: list
     train_trace: list
+    vae_trace: np.ndarray               # (rounds, N) streaming VAE losses, NaN: no rows
     predictions: np.ndarray
     config: ScenarioConfig
-
-
-def _received_train_stack(edges, assignment, train_ds):
-    """Edge-held embeddings for the training split plus the availability mask."""
-    n = len(train_ds)
-    width = edges[0].feature_width
-    values = np.zeros((n, len(edges), width), dtype=np.float32)
-    mask = np.zeros((n, len(edges)), dtype=bool)
-    from .edge import extract_embeddings
-    for i, art in enumerate(edges):
-        idx = np.asarray(assignment.train_indices[i], dtype=np.int64)
-        values[idx, i, :] = extract_embeddings(art, train_ds, idx)
-        mask[idx, i] = True
-    return values, mask
 
 
 def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
@@ -283,7 +274,7 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
 
     if scenario_cfg.scenario == "S1":
         if policy == "vae" and vaes is None:
-            values, mask = _received_train_stack(edges, assignment, train_ds)
+            values, mask = stack_embeddings(edges, train_ds, assignment.train_indices)
             vaes = []
             for i in range(len(edges)):
                 emb = values[mask[:, i], i, :]
@@ -292,10 +283,12 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
         vaes = list(vaes) if vaes is not None else []
         matrix = build_ensemble_dataset(edges, vaes, assignment, train_ds,
                                         policy=policy, split="train", fill_seed=fill_seed)
-        model, trace = _fit_offline(matrix, labels, ens_cfg, scenario_cfg)
+        model, trace = train_ensemble(matrix, labels, replace(
+            ens_cfg, epochs=scenario_cfg.ep_ens, batch_size=scenario_cfg.batch_size))
+        vae_trace = np.zeros((0, len(edges)))
     else:
-        model, trace, vaes = _fit_streaming(scenario_cfg, edges, train_ds, assignment,
-                                            ens_cfg, policy, seed, vae_lr)
+        model, trace, vaes, vae_trace = _fit_streaming(scenario_cfg, edges, train_ds, assignment,
+                                                       ens_cfg, policy, seed, vae_lr)
 
     test_matrix = build_ensemble_dataset(edges, vaes, assignment, test_ds,
                                          policy=policy, split="test", fill_seed=fill_seed)
@@ -307,85 +300,77 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
     else:
         report = evaluate(preds, test_ds.labels, "regression")
     return ScenarioRun(model=model, ledger=ledger, report=report, vaes=list(vaes),
-                       train_trace=trace, predictions=preds, config=scenario_cfg)
-
-
-def _fit_offline(matrix: EmbeddingMatrix, labels, ens_cfg: EnsembleConfig,
-                 scenario_cfg: ScenarioConfig):
-    cfg = ens_cfg
-    model = make_ensemble_model(cfg)
-    rng = rng_from(cfg.seed, "ensemble-shuffle")
-    trace = nn.fit(model, _as_conv_input(matrix.values), np.asarray(labels),
-                   loss=cfg.loss, optimizer=nn.Adam(cfg.lr), epochs=scenario_cfg.ep_ens,
-                   batch_size=scenario_cfg.batch_size, rng=rng,
-                   n_classes=cfg.n_outputs if cfg.task == "classification" else None)
-    return model, trace
+                       train_trace=trace, vae_trace=vae_trace, predictions=preds,
+                       config=scenario_cfg)
 
 
 def _fit_streaming(scenario_cfg: ScenarioConfig, edges, train_ds, assignment,
                    ens_cfg: EnsembleConfig, policy: str, seed, vae_lr: float):
-    """S2/S3: interleave batch receipt, incremental VAE training, decoding of
-    missing slots, and ensemble steps."""
-    values, mask = _received_train_stack(edges, assignment, train_ds)
+    """S2/S3: per received batch, one stacked VAE step and one decode of the
+    missing slots for all edges, then the ensemble steps. Returns (model,
+    ensemble loss trace, per-edge VAEs, (rounds, N) VAE loss trace)."""
+    values, mask = stack_embeddings(edges, train_ds, assignment.train_indices)
     labels = np.asarray(train_ds.labels)
     n_total = len(train_ds)
     width = ens_cfg.feature_width
     n_edges = len(edges)
     fill_seed = derived_seed(seed, "fill")
 
-    vaes = [Vae(width, seed=derived_seed(seed, "vae", i), lr=vae_lr) for i in range(n_edges)]
+    vaes = Vae(width, seed=[derived_seed(seed, "vae", i) for i in range(n_edges)], lr=vae_lr)
     vae_rngs = [rng_from(seed, "vae-train", i) for i in range(n_edges)]
+    edge_ix = np.arange(n_edges)[:, None]
 
     # latents are fixed per (edge, sample) slot for the whole run
-    slot_z = [None] * n_edges
     if policy == "vae":
-        latents = missing_slot_latents(mask, np.arange(n_total), fill_seed)
-        slot_z = []
-        for i in range(n_edges):
-            rows, z = latents[i]
-            zfull = np.zeros((n_total, z.shape[1] if z.size else 32))
-            if rows.size:
-                zfull[rows] = z
-            slot_z.append(zfull)
+        slot_z = np.zeros((n_edges, n_total, vaes.latent_dim), dtype=np.float32)
+        for i, (rows, z) in missing_slot_latents(mask, np.arange(n_total), fill_seed).items():
+            slot_z[i, rows] = z
 
     model = make_ensemble_model(ens_cfg)
     opt = nn.Adam(ens_cfg.lr)
     rng_stream = rng_from(seed, "stream")
     n_classes = ens_cfg.n_outputs if ens_cfg.task == "classification" else None
+    reuse = scenario_cfg.reuse
     visits = np.zeros(n_total, dtype=np.int64)
-    trace = []
+    trace, vae_trace, seen = [], [], 0
 
     for batch_idx in sample_stream(n_total, scenario_cfg.passes, scenario_cfg.batch_size, rng_stream):
-        batch_vals = values[batch_idx].copy()
-        batch_mask = mask[batch_idx]
-        # per-edge incremental VAE step on the rows this edge actually sent
-        for i in range(n_edges):
-            avail = batch_vals[batch_mask[:, i], i, :]
-            if len(avail):
-                vaes[i].train_step(avail, vae_rngs[i])
-        # impute the batch's missing slots with the current decoders
-        if policy == "vae":
-            for i in range(n_edges):
-                miss = np.nonzero(~batch_mask[:, i])[0]
-                if miss.size:
-                    batch_vals[miss, i, :] = vaes[i].decode(slot_z[i][batch_idx[miss]])
-        else:
-            batch_vals = fill(policy, batch_vals, batch_mask,
-                              sample_indices=batch_idx, seed=fill_seed)
-        x = _as_conv_input(batch_vals)
-        y = labels[batch_idx]
-        for _ in range(scenario_cfg.reuse):
-            out = model.forward(x)
-            if ens_cfg.task == "classification":
-                lval, dout = nn.softmax_cross_entropy(out, nn.one_hot(y, n_classes, dtype=model.dtype))
+        epoch = seen // n_total * reuse         # ensemble epoch of this batch's first step
+        seen += len(batch_idx)
+        with nn.epoch_scope(epoch):             # NonFiniteError names the epoch
+            batch_vals = values[batch_idx]
+            held = mask[batch_idx].T            # (N, b): edge i sent row j
+            counts = held.sum(axis=1)
+            # one stacked VAE step; edge i trains on the rows it sent, in batch order
+            order = np.argsort(~held, axis=1, kind="stable")[:, :counts.max()]
+            vae_trace.append(vaes.train_step(batch_vals[order, edge_ix], vae_rngs, counts))
+            # impute the batch's missing slots with the current decoders
+            if policy == "vae":
+                gaps = len(batch_idx) - counts
+                if gaps.any():
+                    order = np.argsort(held, axis=1, kind="stable")[:, :gaps.max()]
+                    out = vaes.decode(slot_z[edge_ix, batch_idx[order]])
+                    e, j = np.nonzero(np.arange(order.shape[1]) < gaps[:, None])
+                    batch_vals[order[e, j], e] = out[e, j]
             else:
-                lval, dout = nn.mse_loss(out, np.asarray(y, dtype=model.dtype).reshape(out.shape))
-            if not np.isfinite(lval):
-                raise nn.DivergenceError(len(trace))
-            model.backward(dout)
-            opt.step(model)
-            trace.append(lval)
-        np.add.at(visits, batch_idx, scenario_cfg.reuse)
-    assert visits.sum() == 0 or (visits == scenario_cfg.ep_ens).all(), \
-        "stream schedule must visit every sample ep_ens times"
-    return model, trace, vaes
+                batch_vals = fill(policy, batch_vals, held.T,
+                                  sample_indices=batch_idx, seed=fill_seed)
+            x = _as_conv_input(batch_vals)
+            y = labels[batch_idx]
+            for step in range(reuse):
+                out = model.forward(x)
+                if ens_cfg.task == "classification":
+                    lval, dout = nn.softmax_cross_entropy(out, nn.one_hot(y, n_classes, dtype=model.dtype))
+                else:
+                    lval, dout = nn.mse_loss(out, np.asarray(y, dtype=model.dtype).reshape(out.shape))
+                if not np.isfinite(lval):
+                    raise nn.DivergenceError(epoch + step)
+                model.backward(dout, input_grad=False)
+                opt.step(model)
+                trace.append(lval)
+        np.add.at(visits, batch_idx, reuse)
+    if visits.sum() and not (visits == scenario_cfg.ep_ens).all():
+        raise StreamScheduleError(f"stream visited samples {visits.min()}..{visits.max()} "
+                                  f"times, not ep_ens={scenario_cfg.ep_ens}")
+    vae_trace = np.array(vae_trace).reshape(-1, n_edges)
+    return model, trace, [vaes.member(i) for i in range(n_edges)], vae_trace

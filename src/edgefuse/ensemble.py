@@ -79,6 +79,22 @@ class EnsembleConfig:
         return "cross_entropy" if self.task == "classification" else "mse"
 
 
+def stack_embeddings(edges: Sequence[EdgeArtifact], dataset: Dataset, index_sets):
+    """Edge i's embeddings of its rows ``index_sets[i]`` of ``dataset`` in an
+    (n, N, width) float32 stack, zero elsewhere, plus the (n, N) mask of the
+    slots that hold one."""
+    width = edges[0].feature_width
+    values = np.zeros((len(dataset), len(edges), width), dtype=np.float32)
+    mask = np.zeros((len(dataset), len(edges)), dtype=bool)
+    for i, art in enumerate(edges):
+        if art.feature_width != width:
+            raise nn.ShapeMismatchError(f"edge {i} feature width {art.feature_width} != {width}")
+        idx = np.asarray(index_sets[i], dtype=np.int64)
+        values[idx, i, :] = extract_embeddings(art, dataset, idx)
+        mask[idx, i] = True
+    return values, mask
+
+
 def build_ensemble_dataset(edges: Sequence[EdgeArtifact], vaes: Optional[Sequence[Vae]],
                            assignment: EdgeAssignment, dataset: Dataset, *,
                            policy: str = "vae", split: str = "train",
@@ -89,22 +105,11 @@ def build_ensemble_dataset(edges: Sequence[EdgeArtifact], vaes: Optional[Sequenc
     sample k for this split; otherwise it is filled per the policy. The mask
     records exactly which slots were received.
     """
-    n = len(dataset)
-    n_edges = len(edges)
-    if policy == "vae" and (vaes is None or len(vaes) != n_edges):
+    if policy == "vae" and (vaes is None or len(vaes) != len(edges)):
         raise ValueError("need one VAE per edge for the vae policy")
-    width = edges[0].feature_width
-    values = np.zeros((n, n_edges, width), dtype=np.float32)
-    mask = np.zeros((n, n_edges), dtype=bool)
     index_sets = assignment.train_indices if split == "train" else assignment.test_indices
-    for i, art in enumerate(edges):
-        if art.feature_width != width:
-            raise nn.ShapeMismatchError(f"edge {i} feature width {art.feature_width} != {width}")
-        idx = np.asarray(index_sets[i], dtype=np.int64)
-        emb = extract_embeddings(art, dataset, idx)
-        values[idx, i, :] = emb
-        mask[idx, i] = True
-    sample_indices = np.arange(n)
+    values, mask = stack_embeddings(edges, dataset, index_sets)
+    sample_indices = np.arange(len(dataset))
     filled = fill(policy, values, mask, vaes=vaes, sample_indices=sample_indices, seed=fill_seed)
     return EmbeddingMatrix(values=filled, mask=mask, sample_indices=sample_indices, split=split)
 

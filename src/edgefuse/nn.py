@@ -9,10 +9,16 @@ the layer input.
 The convolution / dense / pooling kernels are also exposed as standalone
 functions (``conv2d_forward`` etc.) so that tiled executors can run them on
 array slices and aggregate partial results.
+
+A ``Module`` (``Model``, ``vae.Vae``) keeps its parameters as views into one
+(members, P) buffer: one row, or N for a stack of N same-shaped members with
+a leading member axis on every parameter. ``SGD`` and ``Adam`` update it in
+one pass per step and can leave members out of a step.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +32,9 @@ class ShapeMismatchError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """An array that must stay finite picked up a NaN or Inf."""
+    """An array that must stay finite went NaN or Inf; ``epoch_scope`` adds the epoch."""
+
+    epoch: Optional[int] = None
 
 
 class DivergenceError(RuntimeError):
@@ -38,6 +46,18 @@ class DivergenceError(RuntimeError):
 def check_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values in {what}")
+
+
+@contextmanager
+def epoch_scope(epoch: int):
+    """Stamp ``epoch`` on a NonFiniteError raised inside the block."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        if exc.epoch is None:
+            exc.epoch = epoch
+            exc.args = (f"{exc} at epoch {epoch}",)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +128,17 @@ def relu() -> LayerSpec:
 # ---------------------------------------------------------------------------
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
+    """x (B, in) @ w (in, out) + b (out,), or all with a leading member axis."""
     out = x @ w
     if b is not None:
-        out = out + b
+        out = out + b[..., None, :]
     return out
 
 
-def dense_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
-    dw = x.T @ dout
-    db = dout.sum(axis=0)
-    dx = dout @ w.T
+def dense_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, input_grad=True):
+    dw = np.swapaxes(x, -1, -2) @ dout
+    db = dout.sum(axis=-2)
+    dx = dout @ np.swapaxes(w, -1, -2) if input_grad else None
     return dx, dw, db
 
 
@@ -152,8 +173,10 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b=None, stride=(1, 1)) -> np.nd
     return np.ascontiguousarray(out)
 
 
-def conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, stride=(1, 1)):
-    """Gradients of a valid-padding conv; returns (dx, dw, db).
+def conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, stride=(1, 1),
+                    input_grad=True):
+    """Gradients of a valid-padding conv; returns (dx, dw, db), dx None
+    unless ``input_grad``.
 
     The dx scatter loops over whichever is smaller, kernel positions or
     output positions: small-kernel/large-map convs take the first path,
@@ -167,6 +190,8 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, stride=(1, 1
     dmat = dout.transpose(0, 2, 3, 1).reshape(-1, f)          # (B*OH*OW, F)
     dw = (dmat.T @ cols).reshape(f, c, kh, kw)
     db = dout.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, dw, db
     dx = np.zeros_like(x)
     if kh * kw <= oh * ow:
         for i in range(kh):
@@ -281,7 +306,7 @@ class Layer:
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad=True) -> Optional[np.ndarray]:
         raise NotImplementedError
 
     def param_count(self) -> int:
@@ -289,22 +314,29 @@ class Layer:
 
 
 class Dense(Layer):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, dtype):
+    """With a list of generators, a stack: w (N, in, out) with member k drawn
+    from ``rng[k]``, b (N, out), inputs (N, B, in)."""
+
+    def __init__(self, in_dim: int, out_dim: int, rng, dtype):
         super().__init__()
         self.in_dim, self.out_dim = in_dim, out_dim
-        self.params["w"] = he_uniform(rng, (in_dim, out_dim), fan_in=in_dim, dtype=dtype)
-        self.params["b"] = np.zeros(out_dim, dtype=dtype)
+        if isinstance(rng, np.random.Generator):
+            w = he_uniform(rng, (in_dim, out_dim), fan_in=in_dim, dtype=dtype)
+        else:
+            w = np.stack([he_uniform(r, (in_dim, out_dim), fan_in=in_dim, dtype=dtype) for r in rng])
+        self.params["w"] = w
+        self.params["b"] = np.zeros(w.shape[:-2] + (out_dim,), dtype=dtype)
         self.out_shape = (out_dim,)
         self._x = None
 
     def forward(self, x):
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeMismatchError(f"dense expects (B,{self.in_dim}), got {x.shape}")
+        if x.ndim != self.params["w"].ndim or x.shape[-1] != self.in_dim:
+            raise ShapeMismatchError(f"dense of weight {self.params['w'].shape} got {x.shape}")
         self._x = x
         return dense_forward(x, self.params["w"], self.params["b"])
 
-    def backward(self, dout):
-        dx, dw, db = dense_backward(self._x, self.params["w"], dout)
+    def backward(self, dout, input_grad=True):
+        dx, dw, db = dense_backward(self._x, self.params["w"], dout, input_grad)
         self.grads = {"w": dw, "b": db}
         return dx
 
@@ -329,8 +361,8 @@ class Conv2D(Layer):
         self._x = x
         return conv2d_forward(x, self.params["w"], self.params["b"], self.stride)
 
-    def backward(self, dout):
-        dx, dw, db = conv2d_backward(self._x, self.params["w"], dout, self.stride)
+    def backward(self, dout, input_grad=True):
+        dx, dw, db = conv2d_backward(self._x, self.params["w"], dout, self.stride, input_grad)
         self.grads = {"w": dw, "b": db}
         return dx
 
@@ -350,7 +382,7 @@ class MaxPool2D(Layer):
         self._x_shape = x.shape
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         return maxpool2d_backward(dout, self._argmax, self._x_shape, self.size)
 
 
@@ -365,7 +397,7 @@ class Flatten(Layer):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         return dout.reshape(self._shape)
 
 
@@ -379,7 +411,7 @@ class ReLU(Layer):
         self._x = x
         return relu_forward(x)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         return relu_backward(self._x, dout)
 
 
@@ -387,7 +419,64 @@ class ReLU(Layer):
 # Model
 # ---------------------------------------------------------------------------
 
-class Model:
+class Module:
+    """Layers whose parameters are views into ``flat``, a (members, P) buffer
+    in ``parameters()`` order with a row per member of a stack (one for a plain
+    module). Loading weights copies into the views, never replaces them."""
+
+    members: Optional[int] = None
+
+    def _bind(self, flat: Optional[np.ndarray] = None) -> None:
+        """Point every parameter at its columns of ``flat`` (by default a new copy)."""
+        rows = self.members or 1
+        named = [(layer, name) for layer in self.layers for name in sorted(layer.params)]
+        if flat is None:
+            flat = np.concatenate([np.zeros((rows, 0), self.dtype)] + [
+                layer.params[name].reshape(rows, -1) for layer, name in named], axis=1)
+        self._columns, off = [], 0
+        for layer, name in named:
+            cols = slice(off, off + layer.params[name].size // rows)
+            layer.params[name] = flat[:, cols].reshape(layer.params[name].shape)
+            self._columns.append((layer, name, cols))
+            off = cols.stop
+        self.flat, self.flat_grad = flat, None
+
+    def gather_grads(self) -> np.ndarray:
+        """Every layer's gradient copied into one buffer shaped like ``flat``."""
+        if self.flat_grad is None:
+            self.flat_grad = np.empty_like(self.flat)
+        for layer, name, cols in self._columns:
+            self.flat_grad[:, cols] = layer.grads[name].reshape(len(self.flat), -1)
+        return self.flat_grad
+
+    def parameters(self):
+        """Stable (layer_index, name, array) listing of all parameters."""
+        return [(i, name, layer.params[name])
+                for i, layer in enumerate(self.layers) for name in sorted(layer.params)]
+
+    def gradients(self):
+        return [(i, name, layer.grads[name])
+                for i, layer in enumerate(self.layers) for name in sorted(layer.params)]
+
+    def param_count(self) -> int:
+        return int(self.flat.size)
+
+    def get_parameters(self) -> dict[str, np.ndarray]:
+        return {f"layer{i}.{n}": p for i, n, p in self.parameters()}
+
+    def set_parameters(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy weights from a {"layer<i>.<name>": array} mapping into ``flat``."""
+        for i, name, param in self.parameters():
+            key = f"layer{i}.{name}"
+            if key not in arrays:
+                raise KeyError(f"missing weight array {key}")
+            arr = np.asarray(arrays[key], dtype=self.dtype)
+            if arr.shape != param.shape:
+                raise ShapeMismatchError(f"{key}: {arr.shape} vs {param.shape}")
+            param[...] = arr
+
+
+class Model(Module):
     """An ordered stack of layers materialized from ``LayerSpec``s.
 
     Weight init is He-style uniform, driven by a generator derived from
@@ -423,6 +512,7 @@ class Model:
             self.layers.append(layer)
             cur = layer.out_shape
         self.output_shape = cur
+        self._bind()
 
     def forward(self, x: np.ndarray, taps: Optional[Sequence[int]] = None):
         """Run the stack. With ``taps`` given, also return {layer_index: activation}."""
@@ -440,95 +530,73 @@ class Model:
             return out, collected
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad=True) -> Optional[np.ndarray]:
+        """Fill every layer's grads; return the input gradient unless ``input_grad`` is False."""
         d = dout
-        for layer in reversed(self.layers):
-            d = layer.backward(d)
+        for i in range(len(self.layers) - 1, -1, -1):
+            d = self.layers[i].backward(d, input_grad or i > 0)
         return d
-
-    def parameters(self):
-        """Stable (layer_index, name, array) listing of all parameters."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name in sorted(layer.params):
-                out.append((i, name, layer.params[name]))
-        return out
-
-    def gradients(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name in sorted(layer.params):
-                out.append((i, name, layer.grads[name]))
-        return out
-
-    def param_count(self) -> int:
-        return sum(layer.param_count() for layer in self.layers)
-
-    def set_parameters(self, arrays: dict[str, np.ndarray]) -> None:
-        """Load weights from a {"<layer>.<name>": array} mapping."""
-        for i, layer in enumerate(self.layers):
-            for name in layer.params:
-                key = f"layer{i}.{name}"
-                if key not in arrays:
-                    raise KeyError(f"missing weight array {key}")
-                arr = np.asarray(arrays[key], dtype=self.dtype)
-                if arr.shape != layer.params[name].shape:
-                    raise ShapeMismatchError(f"{key}: {arr.shape} vs {layer.params[name].shape}")
-                layer.params[name] = arr
-
-    def get_parameters(self) -> dict[str, np.ndarray]:
-        return {f"layer{i}.{n}": p for i, n, p in self.parameters()}
 
 
 # ---------------------------------------------------------------------------
 # Optimizers
 # ---------------------------------------------------------------------------
 
-class SGD:
+class _FlatOptimizer:
+    """One update of a module's ``flat`` buffer per step, only of the members in
+    ``active`` if given. ``_update`` does the float operations of the textbook
+    per-parameter loop in order (so results are bit-identical), in the spent
+    gradient or a reused array: buffer-sized temporaries cost more than math."""
+
+    n_state = 0
+
     def __init__(self, lr: float):
         self.lr = lr
-        self.step_count = 0
+        self.steps = None           # per-member step counts, from the first step on
+        self.state: list[np.ndarray] = []
 
-    def step(self, model: Model) -> None:
-        for (_, _, p), (_, _, g) in zip(model.parameters(), model.gradients()):
-            check_finite(g, "gradient")
-            p -= self.lr * g
-        self.step_count += 1
+    def step(self, model: Module, active: Optional[np.ndarray] = None) -> None:
+        if self.steps is None:
+            self.steps = np.zeros(len(model.flat), dtype=np.int64)
+            self.state = [np.zeros_like(model.flat) for _ in range(self.n_state)]
+        rows = slice(None) if active is None or np.all(active) else np.flatnonzero(active)
+        grad = model.gather_grads()[rows]
+        check_finite(grad, "gradient")
+        self.steps[rows] += 1
+        arrays = [a[rows] for a in [model.flat] + self.state]
+        self._update(grad, self.steps[rows], *arrays)
+        if not isinstance(rows, slice):        # fancy indexing copied the rows
+            for dst, src in zip([model.flat] + self.state, arrays):
+                dst[rows] = src
 
 
-class Adam:
+class SGD(_FlatOptimizer):
+    def _update(self, grad, steps, param) -> None:
+        param -= np.multiply(grad, self.lr, out=grad)                 # p -= lr * g
+
+
+class Adam(_FlatOptimizer):
+    n_state = 2            # moments m, v
+
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
+        super().__init__(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.step_count = 0
-        self._m: dict[tuple[int, str], np.ndarray] = {}
-        self._v: dict[tuple[int, str], np.ndarray] = {}
+        self._scratch = np.empty(0)
 
-    def step(self, model: Model) -> None:
-        self.step_count += 1
-        t = self.step_count
-        for (i, name, p), (_, _, g) in zip(model.parameters(), model.gradients()):
-            check_finite(g, "gradient")
-            key = (i, name)
-            if key not in self._m:
-                self._m[key] = np.zeros_like(p)
-                self._v[key] = np.zeros_like(p)
-            m, v = self._m[key], self._v[key]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            mhat = m / (1 - self.beta1 ** t)
-            vhat = v / (1 - self.beta2 ** t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+    def _update(self, grad, steps, param, m, v) -> None:
+        def correction(beta):   # Python floats per member, rounded like a scalar operand
+            return np.array([1 - beta ** int(t) for t in steps], dtype=param.dtype)[:, None]
 
-
-def make_optimizer(kind: str, lr: float):
-    if kind == "sgd":
-        return SGD(lr)
-    if kind == "adam":
-        return Adam(lr)
-    raise ValueError(f"unknown optimizer kind: {kind!r}")
+        if self._scratch.shape != grad.shape:
+            self._scratch = np.empty_like(grad)
+        a, b = self._scratch, grad          # grad is spent once v is updated
+        m *= self.beta1
+        m += np.multiply(grad, 1 - self.beta1, out=a)
+        v *= self.beta2
+        v += np.multiply(np.multiply(grad, grad, out=a), 1 - self.beta2, out=a)
+        np.divide(m, correction(self.beta1), out=a)                   # mhat
+        np.add(np.sqrt(np.divide(v, correction(self.beta2), out=b), out=b), self.eps, out=b)
+        param -= np.divide(np.multiply(a, self.lr, out=a), b, out=a)  # lr mhat / (sqrt vhat + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +610,8 @@ def fit(model: Model, inputs: np.ndarray, targets: np.ndarray, *, loss: str,
 
     loss: "cross_entropy" (integer labels, fused softmax) or "mse".
     Returns the per-epoch mean loss trace. Raises DivergenceError when the
-    loss goes non-finite, reporting the epoch it happened in.
+    loss goes non-finite, and NonFiniteError when an output or gradient
+    does; both report the epoch it happened in.
     """
     n = len(inputs)
     if n == 0:
@@ -553,22 +622,23 @@ def fit(model: Model, inputs: np.ndarray, targets: np.ndarray, *, loss: str,
     for epoch in range(epochs):
         order = rng.permutation(n)
         total, seen = 0.0, 0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            out = model.forward(inputs[idx])
-            if loss == "cross_entropy":
-                y = one_hot(targets[idx], n_classes, dtype=model.dtype)
-                lval, dout = softmax_cross_entropy(out, y)
-            elif loss == "mse":
-                y = np.asarray(targets[idx], dtype=model.dtype).reshape(out.shape)
-                lval, dout = mse_loss(out, y)
-            else:
-                raise ValueError(f"unknown loss: {loss!r}")
-            if not np.isfinite(lval):
-                raise DivergenceError(epoch)
-            model.backward(dout)
-            optimizer.step(model)
-            total += lval * len(idx)
-            seen += len(idx)
+        with epoch_scope(epoch):
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                out = model.forward(inputs[idx])
+                if loss == "cross_entropy":
+                    y = one_hot(targets[idx], n_classes, dtype=model.dtype)
+                    lval, dout = softmax_cross_entropy(out, y)
+                elif loss == "mse":
+                    y = np.asarray(targets[idx], dtype=model.dtype).reshape(out.shape)
+                    lval, dout = mse_loss(out, y)
+                else:
+                    raise ValueError(f"unknown loss: {loss!r}")
+                if not np.isfinite(lval):
+                    raise DivergenceError(epoch)
+                model.backward(dout, input_grad=False)
+                optimizer.step(model)
+                total += lval * len(idx)
+                seen += len(idx)
         trace.append(total / seen)
     return trace

@@ -5,11 +5,14 @@ Architecture per edge: encoder dense(64) -> (mu: 32, log-var: 32), decoder
 dense(64) -> dense(feature width). Trained with the reparameterization trick
 (z = mu + sigma * eps) under squared reconstruction error plus the closed
 form KL divergence to a standard normal, using Adam.
+
+A streaming run holds its N VAEs as one ``Vae`` stacked along a leading
+member axis (weights (N, in, out) in one (N, P) ``nn.Module`` buffer), so a
+round is one masked ``train_step`` and one ``decode`` for every edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,54 +26,52 @@ HIDDEN = 64
 FILL_POLICIES = ("vae", "zero", "mean", "max")
 
 
+def _kl_terms(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
+    return 0.5 * (mu * mu + np.exp(logvar) - 1.0 - logvar)
+
+
 def kl_standard_normal(mu: np.ndarray, logvar: np.ndarray) -> float:
     """Closed-form KL( N(mu, diag sigma^2) || N(0, I) ), summed over dims and
     averaged over rows."""
-    term = 0.5 * (mu * mu + np.exp(logvar) - 1.0 - logvar)
-    return float(term.sum(axis=-1).mean())
+    return float(_kl_terms(mu, logvar).sum(axis=-1).mean())
 
 
-class Vae:
+class Vae(nn.Module):
     """One VAE with persistent Adam state so it can train full-batch runs or
-    incrementally, one received mini-batch at a time."""
+    incrementally, one received mini-batch at a time.
+
+    With ``seed`` a sequence of N seeds, a stack of N members: member k
+    starts as ``Vae(..., seed=seed[k])`` and ``steps_run`` is per member.
+    """
 
     def __init__(self, feature_width: int, latent_dim: int = LATENT_DIM,
                  hidden: int = HIDDEN, seed=0, lr: float = 1e-4, dtype=np.float32):
         self.feature_width = feature_width
         self.latent_dim = latent_dim
         self.hidden = hidden
-        self.seed = seed
         self.dtype = np.dtype(dtype).type
-        rng = np.random.default_rng(derived_seed(seed, "vae-weights"))
-        self.enc_hidden = nn.Dense(feature_width, hidden, rng, self.dtype)
-        self.enc_mu = nn.Dense(hidden, latent_dim, rng, self.dtype)
-        self.enc_logvar = nn.Dense(hidden, latent_dim, rng, self.dtype)
-        self.dec_hidden = nn.Dense(latent_dim, hidden, rng, self.dtype)
-        self.dec_out = nn.Dense(hidden, feature_width, rng, self.dtype)
+        stacked = np.ndim(seed) > 0
+        self.seed = tuple(seed) if stacked else seed
+        self.members = len(self.seed) if stacked else None
+        rngs = [np.random.default_rng(derived_seed(s, "vae-weights")) for s in np.atleast_1d(seed)]
+        self.layers = [nn.Dense(i, o, rngs if stacked else rngs[0], self.dtype) for i, o in (
+            (feature_width, hidden), (hidden, latent_dim), (hidden, latent_dim),
+            (latent_dim, hidden), (hidden, feature_width))]
+        self.enc_hidden, self.enc_mu, self.enc_logvar, self.dec_hidden, self.dec_out = self.layers
+        self._bind()
         self.optimizer = nn.Adam(lr)
-        self.steps_run = 0
+        self.steps_run = np.zeros(len(rngs), dtype=np.int64) if stacked else 0
+
+    def member(self, k: int) -> "Vae":
+        """Member ``k`` as a plain VAE on views of its weights (its step count
+        copied, its Adam state fresh)."""
+        vae = Vae(self.feature_width, self.latent_dim, self.hidden, seed=self.seed[k],
+                  lr=self.optimizer.lr, dtype=self.dtype)
+        vae._bind(self.flat[k:k + 1])
+        vae.steps_run = int(self.steps_run[k])
+        return vae
 
     # -- pieces -------------------------------------------------------------
-
-    def _layers(self):
-        return [self.enc_hidden, self.enc_mu, self.enc_logvar, self.dec_hidden, self.dec_out]
-
-    def parameters(self):
-        out = []
-        for i, layer in enumerate(self._layers()):
-            for name in sorted(layer.params):
-                out.append((i, name, layer.params[name]))
-        return out
-
-    def gradients(self):
-        out = []
-        for i, layer in enumerate(self._layers()):
-            for name in sorted(layer.params):
-                out.append((i, name, layer.grads[name]))
-        return out
-
-    def param_count(self) -> int:
-        return sum(layer.param_count() for layer in self._layers())
 
     def encode(self, x: np.ndarray):
         h = self.enc_hidden.forward(x)
@@ -80,17 +81,29 @@ class Vae:
         return mu, logvar, (h, a)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
+        """Latents (B, latent) to embeddings; a stack maps (N, B, latent)."""
         h = self.dec_hidden.forward(np.asarray(z, dtype=self.dtype))
         a = nn.relu_forward(h)
         return self.dec_out.forward(a)
 
     # -- training -----------------------------------------------------------
 
-    def loss_and_grads(self, x: np.ndarray, eps: np.ndarray):
+    def loss_and_grads(self, x: np.ndarray, eps: np.ndarray, counts=None):
         """Compute the loss for a batch with the given (frozen) noise and fill
-        every layer's grads. Returns (total, reconstruction, kl)."""
+        every layer's grads. Returns (total, reconstruction, kl).
+
+        A stack takes x (N, B, width) and eps (N, B, latent): member k's batch
+        is its first ``counts[k]`` rows, the rest is ignored padding. Losses
+        are then per member, averaged over its own rows (0 if it has none).
+        """
         x = np.asarray(x, dtype=self.dtype)
-        bsz = x.shape[0]
+        n = rows = x.shape[0]
+        keep = None
+        if counts is not None:
+            n = np.maximum(counts, 1).astype(self.dtype)
+            rows = n[:, None, None]
+            keep = (np.arange(x.shape[1]) < np.asarray(counts)[:, None])[..., None]
+            x = np.where(keep, x, 0)            # padding of any value stays finite
         mu, logvar, (h_enc, a_enc) = self.encode(x)
         sigma = np.exp(0.5 * logvar)
         z = mu + sigma * eps.astype(self.dtype, copy=False)
@@ -99,32 +112,51 @@ class Vae:
         xhat = self.dec_out.forward(a_dec)
 
         diff = xhat - x
-        recon = float((diff * diff).sum(axis=-1).mean())
-        kl = kl_standard_normal(mu, logvar)
+        kl_terms = _kl_terms(mu, logvar)
+        if keep is not None:
+            diff *= keep
+            kl_terms *= keep
+        recon = np.float64((diff * diff).sum(axis=-1).sum(axis=-1) / n)
+        kl = np.float64(kl_terms.sum(axis=-1).sum(axis=-1) / n)
         total = recon + kl
-        if not np.isfinite(total):
+        if not np.all(np.isfinite(total)):
             raise nn.NonFiniteError("non-finite VAE loss")
 
         # reconstruction path
-        dxhat = (2.0 / bsz) * diff
+        dxhat = (2.0 / rows) * diff
         da_dec = self.dec_out.backward(dxhat)
         dh_dec = nn.relu_backward(h_dec, da_dec)
         dz = self.dec_hidden.backward(dh_dec)
         # reparameterization + KL head gradients
-        dmu = dz + mu / bsz
-        dlogvar = dz * eps * 0.5 * sigma + 0.5 * (np.exp(logvar) - 1.0) / bsz
+        dmu = dz + mu / rows
+        dlogvar = dz * eps * 0.5 * sigma + 0.5 * (np.exp(logvar) - 1.0) / rows
+        if keep is not None:
+            dmu *= keep
+            dlogvar *= keep
         da_mu = self.enc_mu.backward(dmu.astype(self.dtype, copy=False))
         da_lv = self.enc_logvar.backward(dlogvar.astype(self.dtype, copy=False))
         dh_enc = nn.relu_backward(h_enc, da_mu + da_lv)
-        self.enc_hidden.backward(dh_enc)
+        self.enc_hidden.backward(dh_enc, input_grad=False)
         return total, recon, kl
 
-    def train_step(self, x: np.ndarray, rng: np.random.Generator) -> float:
-        eps = rng.standard_normal((len(x), self.latent_dim))
-        total, _, _ = self.loss_and_grads(x, eps)
-        self.optimizer.step(self)
-        self.steps_run += 1
-        return total
+    def train_step(self, x: np.ndarray, rng, counts=None):
+        """One Adam step; returns the loss. A stack takes x and ``counts`` as
+        ``loss_and_grads`` does and draws member k's noise from ``rng[k]`` as
+        a plain VAE on its rows would; a member with no rows gets a NaN loss
+        and keeps its weights, Adam state and step count."""
+        if counts is None:
+            eps = rng.standard_normal((len(x), self.latent_dim))
+            active = True
+        else:
+            eps = np.zeros(x.shape[:2] + (self.latent_dim,))
+            for k in np.flatnonzero(counts):
+                eps[k, :counts[k]] = rng[k].standard_normal((counts[k], self.latent_dim))
+            active = np.asarray(counts) > 0
+        total = self.loss_and_grads(x, eps, counts)[0]
+        if np.any(active):
+            self.optimizer.step(self, None if counts is None else active)
+        self.steps_run += active
+        return total if counts is None else np.where(active, total, np.nan)
 
     def generate(self, count: int, seed) -> np.ndarray:
         """Decode ``count`` latents drawn from N(0, I); deterministic per seed."""
@@ -133,20 +165,6 @@ class Vae:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((count, self.latent_dim))
         return self.decode(z)
-
-    # -- persistence ----------------------------------------------------------
-
-    def get_parameters(self) -> dict:
-        return {f"layer{i}.{n}": p for i, n, p in self.parameters()}
-
-    def set_parameters(self, arrays: dict) -> None:
-        for i, layer in enumerate(self._layers()):
-            for name in layer.params:
-                key = f"layer{i}.{name}"
-                arr = np.asarray(arrays[key], dtype=self.dtype)
-                if arr.shape != layer.params[name].shape:
-                    raise nn.ShapeMismatchError(f"{key}: {arr.shape} vs {layer.params[name].shape}")
-                layer.params[name] = arr
 
 
 def train_vae(embeddings: np.ndarray, epochs: int, seed, *, lr: float = 1e-4,
@@ -159,14 +177,15 @@ def train_vae(embeddings: np.ndarray, epochs: int, seed, *, lr: float = 1e-4,
     rng = rng_from(seed, "vae-train")
     n = emb.shape[0]
     trace = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
         total, seen = 0.0, 0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            loss = vae.train_step(emb[idx], rng)
-            total += loss * len(idx)
-            seen += len(idx)
+        with nn.epoch_scope(epoch):
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                loss = vae.train_step(emb[idx], rng)
+                total += loss * len(idx)
+                seen += len(idx)
         trace.append(total / seen)
     return vae, trace
 

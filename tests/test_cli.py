@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgefuse import cli, nn
 from edgefuse.cli import main
 from edgefuse.config import ConfigError, ExperimentConfig
 
@@ -242,3 +243,25 @@ def test_train_edges_parallel_matches_serial(tmp_path):
         b = np.load(tmp_path / "par" / "edges" / f"edge_{i:03d}.npz")
         for key in a.files:
             assert np.array_equal(a[key], b[key]), (i, key)
+
+
+def _diverge():
+    raise nn.DivergenceError(3)
+
+
+def _non_finite():
+    with nn.epoch_scope(3):
+        raise nn.NonFiniteError("non-finite values in gradient")
+
+
+@pytest.mark.parametrize("fail", [_diverge, _non_finite])
+def test_training_failure_exits_2_naming_the_epoch(tmp_path, capsys, monkeypatch, fail):
+    def failing_stage(cfg, force=False):
+        fail()
+
+    monkeypatch.setattr(cli, "stage_simulate", failing_stage)
+    cfg_path = write_config(tmp_path, micro_config(tmp_path, scenario="S3"))
+    assert main(["simulate", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "at epoch 3" in err

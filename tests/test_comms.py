@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgefuse.comms import (ScenarioConfig, account, plan_schedule,
+from edgefuse import comms
+from edgefuse.comms import (ScenarioConfig, StreamScheduleError, account, plan_schedule,
                             run_scenario, sample_stream)
 from edgefuse.datasets import PartitionSpec, make_synthetic_classification, sample_edge_assignment
 from edgefuse.edge import EdgeModelConfig, random_edge_config, train_edge
@@ -229,8 +234,8 @@ def test_run_scenario_deterministic(micro_setup):
 
 
 def test_s2_and_s3_visit_budget(micro_setup):
-    # the internal assertion in _fit_streaming enforces ep_ens visits per
-    # sample; a successful run is the check
+    # _fit_streaming raises StreamScheduleError unless every sample is
+    # visited ep_ens times; a successful run is the check
     train, test, asg, edges, ens_cfg = micro_setup
     for cfg in (ScenarioConfig("S2", ep_ens=4, ep_ens_d=2, batch_size=8),
                 ScenarioConfig("S3", ep_ens=4, batch_size=8)):
@@ -247,3 +252,77 @@ def test_run_scenario_zero_policy(micro_setup):
                        vae_epochs=1, policy="zero", seed=17)
     assert run.report.accuracy is not None
     assert run.vaes == []
+
+
+def _drop_last_batch(stream):
+    def dropped(*args):
+        batches = list(stream(*args))
+        yield from batches[:-1]
+    return dropped
+
+
+def test_visit_budget_violation_raises(micro_setup, monkeypatch):
+    train, test, asg, edges, ens_cfg = micro_setup
+    monkeypatch.setattr(comms, "sample_stream", _drop_last_batch(comms.sample_stream))
+    cfg = ScenarioConfig("S3", ep_ens=2, batch_size=16)
+    with pytest.raises(StreamScheduleError, match="ep_ens=2"):
+        run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="vae", seed=13)
+
+
+VISIT_BUDGET_UNDER_O = """
+import numpy as np
+from edgefuse import comms
+from edgefuse.datasets import PartitionSpec, make_synthetic_classification, sample_edge_assignment
+from edgefuse.edge import random_edge_config, train_edge
+from edgefuse.ensemble import EnsembleConfig
+
+assert not __debug__
+train = make_synthetic_classification(40, 2, 3, seed=1, center_seed=1)
+test = make_synthetic_classification(20, 2, 3, seed=2, center_seed=1, split="test")
+asg = sample_edge_assignment(train, test, PartitionSpec(alpha=0.5, delta=0.2, n_edges=2, seed=3))
+edges = [train_edge(random_edge_config("classification", (3,), seed=i, n_classes=2,
+                                       epoch_range=(1, 1), feature_width=8),
+                    train, asg.train_indices[i]) for i in range(2)]
+ens = EnsembleConfig(n_edges=2, feature_width=8, task="classification", n_outputs=2)
+stream = comms.sample_stream
+def dropped(*args):
+    yield from list(stream(*args))[:-1]
+comms.sample_stream = dropped
+try:
+    comms.run_scenario(comms.ScenarioConfig("S3", ep_ens=2, batch_size=8), edges, train, test,
+                       asg, ens_cfg=ens, seed=1)
+except comms.StreamScheduleError:
+    print("raised")
+"""
+
+
+def test_visit_budget_violation_raises_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", VISIT_BUDGET_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
+
+
+def _rows_sent_per_round(n, cfg, asg, seed):
+    held = np.zeros((n, len(asg.train_indices)), dtype=bool)
+    for i, idx in enumerate(asg.train_indices):
+        held[idx, i] = True
+    stream = sample_stream(n, cfg.passes, cfg.batch_size, comms.rng_from(seed, "stream"))
+    return np.array([held[b].sum(axis=0) for b in stream])
+
+
+def test_streaming_vae_trace_has_a_loss_per_round_and_edge(micro_setup):
+    train, test, asg, edges, ens_cfg = micro_setup
+    cfg = ScenarioConfig("S3", ep_ens=3, batch_size=2)
+    run = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="vae", seed=19)
+    sent = _rows_sent_per_round(len(train), cfg, asg, seed=19)
+    assert run.vae_trace.shape == (run.ledger.comm_count, len(edges)) == sent.shape
+    idle = sent == 0
+    assert idle.any() and not idle.all()
+    assert np.array_equal(np.isnan(run.vae_trace), idle)
+    assert np.isfinite(run.vae_trace[~idle]).all()
+    s1 = run_scenario(ScenarioConfig("S1", ep_ens=1), edges, train, test, asg,
+                      ens_cfg=ens_cfg, vae_epochs=1, policy="vae", seed=19)
+    assert s1.vae_trace.shape == (0, len(edges))

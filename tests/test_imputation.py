@@ -215,3 +215,80 @@ def test_generated_fill_width_for_any_count():
     vae = Vae(12, seed=4)
     for count in (0, 1, 5):
         assert vae.generate(count, seed=0).shape == (count, 12)
+
+
+# ---------------------------------------------------------------------------
+# stacked VAEs
+# ---------------------------------------------------------------------------
+
+STACK_SEEDS = (11, 12, 13)
+
+
+def _stack_batch(counts, seed=0):
+    """(N, B, 8) rows, padding past counts[k] filled with large junk."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(len(counts), max(counts), 8)).astype(np.float32)
+    for k, c in enumerate(counts):
+        x[k, c:] = 1e3
+    return x
+
+
+def _close(a, b, rel=1e-5):
+    return np.abs(np.asarray(a) - b).max() <= rel * np.abs(b).max()
+
+
+def test_stack_members_start_as_the_per_seed_vaes():
+    stack = Vae(8, latent_dim=4, hidden=6, seed=STACK_SEEDS)
+    for k, s in enumerate(STACK_SEEDS):
+        solo = Vae(8, latent_dim=4, hidden=6, seed=s).get_parameters()
+        for key, p in stack.member(k).get_parameters().items():
+            assert np.array_equal(p, solo[key]), key
+
+
+def test_stacked_step_matches_per_member_steps():
+    counts = np.array([5, 2, 7])
+    stack = Vae(8, latent_dim=4, hidden=6, seed=STACK_SEEDS, lr=1e-2)
+    solos = [Vae(8, latent_dim=4, hidden=6, seed=s, lr=1e-2) for s in STACK_SEEDS]
+    stack_rngs = [np.random.default_rng(k) for k in range(3)]
+    solo_rngs = [np.random.default_rng(k) for k in range(3)]
+    for step in range(5):
+        x = _stack_batch(counts, seed=step)
+        losses = stack.train_step(x, stack_rngs, counts)
+        for k, solo in enumerate(solos):
+            loss = solo.train_step(x[k, :counts[k]], solo_rngs[k])
+            assert abs(losses[k] - loss) <= 1e-5 * abs(loss)
+    for k, solo in enumerate(solos):
+        ref = solo.get_parameters()
+        for key, p in stack.member(k).get_parameters().items():
+            assert _close(p, ref[key]), (k, key)
+    assert list(stack.steps_run) == [5, 5, 5]
+
+
+def test_idle_member_is_untouched():
+    stack = Vae(8, latent_dim=4, hidden=6, seed=STACK_SEEDS, lr=1e-2)
+    before = stack.flat.copy()
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    for step in range(3):
+        counts = np.array([4, 0, 3])
+        losses = stack.train_step(_stack_batch(counts, seed=step), rngs, counts)
+        assert np.isnan(losses[1]) and np.isfinite(losses[[0, 2]]).all()
+    assert np.array_equal(stack.flat[1], before[1])
+    assert not np.array_equal(stack.flat[0], before[0])
+    m, v = stack.optimizer.state
+    assert not m[1].any() and not v[1].any()
+    assert list(stack.optimizer.steps) == [3, 0, 3]
+    assert list(stack.steps_run) == [3, 0, 3]
+    assert stack.member(1).steps_run == 0
+
+
+def test_member_is_a_view_of_the_stack():
+    stack = Vae(8, latent_dim=4, hidden=6, seed=STACK_SEEDS)
+    member = stack.member(2)
+    for (_, _, p), (_, _, q) in zip(member.parameters(), stack.parameters()):
+        assert np.shares_memory(p, stack.flat)
+        assert np.array_equal(p, q[2])
+    member.dec_out.params["b"][:] = 7.0
+    assert np.all(stack.dec_out.params["b"][2] == 7.0)
+    assert not np.any(stack.dec_out.params["b"][[0, 1]] == 7.0)
+    z = np.random.default_rng(0).standard_normal((3, 5, 4))
+    assert np.allclose(stack.decode(z)[2], member.decode(z[2]), rtol=1e-5, atol=1e-6)

@@ -275,3 +275,93 @@ def test_gradcheck_every_layer_kind_short_sweep():
         _, dout = nn.softmax_cross_entropy(m.forward(x), nn.one_hot(y, 2, np.float64))
         m.backward(dout)
         model_gradcheck(m, loss_fn)
+
+
+# ---------------------------------------------------------------------------
+# flat parameter buffer
+# ---------------------------------------------------------------------------
+
+def _reference_sgd(lr):
+    def step(model, state):
+        for (_, _, p), (_, _, g) in zip(model.parameters(), model.gradients()):
+            p -= lr * g
+    return step
+
+
+def _reference_adam(lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam loop the flat optimizer replaces."""
+    def step(model, state):
+        state["t"] = t = state.get("t", 0) + 1
+        for (i, name, p), (_, _, g) in zip(model.parameters(), model.gradients()):
+            m, v = state.setdefault((i, name), (np.zeros_like(p), np.zeros_like(p)))
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * (g * g)
+            mhat = m / (1 - beta1 ** t)
+            vhat = v / (1 - beta2 ** t)
+            p -= lr * mhat / (np.sqrt(vhat) + eps)
+    return step
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_flat_optimizer_bit_identical_to_per_parameter_loop(kind):
+    specs = [nn.conv((2, 3), 4, stride=(1, 2)), nn.relu(), nn.flatten(),
+             nn.dense(6), nn.relu(), nn.dense(3)]
+    flat_model = nn.Model(specs, (1, 4, 9), seed=3)
+    ref_model = nn.Model(specs, (1, 4, 9), seed=3)
+    opt = nn.SGD(0.05) if kind == "sgd" else nn.Adam(1e-2)
+    ref = _reference_sgd(0.05) if kind == "sgd" else _reference_adam(1e-2)
+    state = {}
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        x = rng.normal(size=(5, 1, 4, 9)).astype(np.float32)
+        y = nn.one_hot(rng.integers(0, 3, 5), 3)
+        for model in (flat_model, ref_model):
+            _, dout = nn.softmax_cross_entropy(model.forward(x), y)
+            model.backward(dout)
+        opt.step(flat_model)
+        ref(ref_model, state)
+        for (_, key, p), (_, _, q) in zip(flat_model.parameters(), ref_model.parameters()):
+            assert np.array_equal(p, q), key
+
+
+def test_set_parameters_then_step_moves_the_loaded_weights():
+    m = nn.Model([nn.dense(4), nn.relu(), nn.dense(2)], (3,), seed=0)
+    rng = np.random.default_rng(2)
+    loaded = {k: rng.uniform(0.1, 1.0, v.shape).astype(np.float32)
+              for k, v in m.get_parameters().items()}
+    kept = {k: v.copy() for k, v in loaded.items()}
+    m.set_parameters(loaded)
+    for i, name, p in m.parameters():
+        assert np.shares_memory(p, m.flat) and np.array_equal(p, loaded[f"layer{i}.{name}"])
+    x = np.random.default_rng(1).normal(size=(6, 3)).astype(np.float32)
+    _, dout = nn.softmax_cross_entropy(m.forward(x), nn.one_hot(np.arange(6) % 2, 2))
+    m.backward(dout)
+    nn.Adam(0.1).step(m)
+    for key, p in m.get_parameters().items():
+        assert not np.array_equal(p, loaded[key]), key
+        assert np.array_equal(loaded[key], kept[key])   # the caller's arrays are not aliased
+
+
+def test_fit_names_the_epoch_of_a_non_finite_output():
+    m = nn.Model([nn.dense(1)], (1,), seed=0)
+    x = np.ones((4, 1), dtype=np.float32)
+    x[3] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(nn.NonFiniteError) as err:
+        nn.fit(m, x, np.zeros(4, dtype=np.float32), loss="mse", optimizer=nn.SGD(0.1),
+               epochs=2, batch_size=2, rng=np.random.default_rng(0))
+    assert err.value.epoch == 0
+    assert str(err.value) == "non-finite values in model output at epoch 0"
+
+
+def test_backward_without_input_gradient_keeps_parameter_gradients():
+    specs = [nn.conv((2, 3), 4, stride=(1, 2)), nn.relu(), nn.flatten(), nn.dense(3)]
+    m = nn.Model(specs, (1, 4, 9), seed=5)
+    x = np.random.default_rng(4).normal(size=(6, 1, 4, 9)).astype(np.float32)
+    _, dout = nn.softmax_cross_entropy(m.forward(x), nn.one_hot(np.arange(6) % 3, 3))
+    assert m.backward(dout).shape == x.shape
+    full = [g.copy() for _, _, g in m.gradients()]
+    assert m.backward(dout, input_grad=False) is None
+    for g, ref in zip((g for _, _, g in m.gradients()), full):
+        assert np.array_equal(g, ref)
