@@ -29,7 +29,7 @@ import numpy as np
 
 from . import comms, ensemble, io, nn, tiling
 from .config import ConfigError, ExperimentConfig
-from .datasets import (Dataset, EdgeAssignment, bin_regression_targets,
+from .datasets import (EdgeAssignment, bin_regression_targets,
                        load_csv_regression, load_idx_images,
                        make_synthetic_classification, sample_edge_assignment)
 from .edge import edge_accuracy, extract_embeddings, random_edge_config, train_edge
@@ -186,17 +186,19 @@ def stage_train_edges(cfg: ExperimentConfig, force: bool = False, workers: int =
     return artifacts
 
 
-def load_edges(cfg: ExperimentConfig) -> list:
-    run = _run_dir(cfg)
-    chash = cfg.config_hash()
-    arts = []
+def _load_per_edge(cfg: ExperimentConfig, path_of, load, what: str, stage: str) -> list:
+    """Every edge's stored artifact of one kind; names the first one missing."""
+    run, chash, out = _run_dir(cfg), cfg.config_hash(), []
     for i in range(cfg.n_edges):
-        path = _edge_path(run, i)
+        path = path_of(run, i)
         if not path.exists():
-            raise StageError(f"missing edge artifact {path.name} (edge {i}); "
-                             f"run train-edges first")
-        arts.append(io.load_edge_artifact(path, chash))
-    return arts
+            raise StageError(f"missing {what} artifact {path.name} (edge {i}); run {stage} first")
+        out.append(load(path, chash))
+    return out
+
+
+def load_edges(cfg: ExperimentConfig) -> list:
+    return _load_per_edge(cfg, _edge_path, io.load_edge_artifact, "edge", "train-edges")
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +227,7 @@ def stage_train_vaes(cfg: ExperimentConfig, force: bool = False) -> list:
 
 
 def load_vaes(cfg: ExperimentConfig) -> list:
-    run = _run_dir(cfg)
-    chash = cfg.config_hash()
-    out = []
-    for i in range(cfg.n_edges):
-        path = _vae_path(run, i)
-        if not path.exists():
-            raise StageError(f"missing VAE artifact {path.name} (edge {i}); run train-vaes first")
-        out.append(io.load_vae_artifact(path, chash))
-    return out
+    return _load_per_edge(cfg, _vae_path, io.load_vae_artifact, "VAE", "train-vaes")
 
 
 # ---------------------------------------------------------------------------
@@ -289,39 +283,36 @@ def _ensemble_config(cfg: ExperimentConfig, n_classes) -> ensemble.EnsembleConfi
         seed=derived_seed(cfg.seed, "ensemble"))
 
 
-def stage_train_ensemble(cfg: ExperimentConfig, force: bool = False):
-    if cfg.scenario_name != "S1":
-        raise StageError("train-ensemble persists the one-shot-transfer pipeline; "
-                         "use `simulate` for streaming scenarios")
+def _run_and_write(cfg: ExperimentConfig, force: bool, stored_vaes):
+    """Run the scenario on the stored edges with ``stored_vaes()`` (None: train inline)."""
     bundle = load_datasets(cfg)
     assignment = load_partition(cfg)
     edges = load_edges(cfg)
-    vaes = load_vaes(cfg) if cfg.fill_policy == "vae" else []
-    ens_cfg = _ensemble_config(cfg, bundle["partition_train"].n_classes)
-    result = comms.run_scenario(cfg.scenario_config(), edges, bundle["train"], bundle["test"],
-                                assignment, ens_cfg=ens_cfg, vae_epochs=cfg.ep_vae,
-                                policy=cfg.fill_policy, seed=cfg.seed,
-                                vaes=vaes if cfg.fill_policy == "vae" else None)
-    _write_run_outputs(cfg, result, edges, bundle, result.vaes, force)
-    return result
-
-
-def stage_simulate(cfg: ExperimentConfig, force: bool = False):
-    bundle = load_datasets(cfg)
-    assignment = load_partition(cfg)
-    edges = load_edges(cfg)
-    vaes = None
-    if cfg.scenario_name == "S1" and cfg.fill_policy == "vae":
-        try:
-            vaes = load_vaes(cfg)
-        except StageError:
-            vaes = None          # S1 trains them inline when absent
+    vaes = stored_vaes()
     ens_cfg = _ensemble_config(cfg, bundle["partition_train"].n_classes)
     result = comms.run_scenario(cfg.scenario_config(), edges, bundle["train"], bundle["test"],
                                 assignment, ens_cfg=ens_cfg, vae_epochs=cfg.ep_vae,
                                 policy=cfg.fill_policy, seed=cfg.seed, vaes=vaes)
     _write_run_outputs(cfg, result, edges, bundle, result.vaes, force)
     return result
+
+
+def stage_train_ensemble(cfg: ExperimentConfig, force: bool = False):
+    if cfg.scenario_name != "S1":
+        raise StageError("train-ensemble persists the one-shot-transfer pipeline; "
+                         "use `simulate` for streaming scenarios")
+    return _run_and_write(cfg, force, lambda: load_vaes(cfg) if cfg.fill_policy == "vae" else None)
+
+
+def stage_simulate(cfg: ExperimentConfig, force: bool = False):
+    def stored_vaes():          # S1 trains them inline when absent; S2/S3 train their own
+        if cfg.scenario_name != "S1" or cfg.fill_policy != "vae":
+            return None
+        try:
+            return load_vaes(cfg)
+        except StageError:
+            return None
+    return _run_and_write(cfg, force, stored_vaes)
 
 
 # ---------------------------------------------------------------------------

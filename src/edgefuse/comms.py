@@ -357,17 +357,8 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, edges, train_ds, assignment,
                                   sample_indices=batch_idx, seed=fill_seed)
             x = _as_conv_input(batch_vals)
             y = labels[batch_idx]
-            for step in range(reuse):
-                out = model.forward(x)
-                if ens_cfg.task == "classification":
-                    lval, dout = nn.softmax_cross_entropy(out, nn.one_hot(y, n_classes, dtype=model.dtype))
-                else:
-                    lval, dout = nn.mse_loss(out, np.asarray(y, dtype=model.dtype).reshape(out.shape))
-                if not np.isfinite(lval):
-                    raise nn.DivergenceError(epoch + step)
-                model.backward(dout, input_grad=False)
-                opt.step(model)
-                trace.append(lval)
+            trace += [nn.train_step(model, opt, x, y, loss=ens_cfg.loss, n_classes=n_classes,
+                                    epoch=epoch + step) for step in range(reuse)]
         np.add.at(visits, batch_idx, reuse)
     if visits.sum() and not (visits == scenario_cfg.ep_ens).all():
         raise StreamScheduleError(f"stream visited samples {visits.min()}..{visits.max()} "

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

@@ -8,7 +8,7 @@ flat inputs from the dense family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,15 +143,13 @@ def train_edge(config: EdgeModelConfig, dataset: Dataset, train_indices) -> Edge
         raise ValueError("empty edge assignment")
     model = build_edge_model(config)
     tap = embedding_tap_index(config.specs, config.feature_width)
-    trace: list = []
-    if config.epochs > 0:
-        x = dataset.inputs[idx]
-        y = np.asarray(dataset.labels)[idx]
-        opt = nn.SGD(config.lr)
-        rng = rng_from(config.seed, "edge-shuffle")
-        trace = nn.fit(model, x, y, loss=config.loss, optimizer=opt,
-                       epochs=config.epochs, batch_size=config.batch_size,
-                       rng=rng, n_classes=config.n_classes)
+    x = dataset.inputs[idx]
+    y = np.asarray(dataset.labels)[idx]
+    opt = nn.SGD(config.lr)
+    rng = rng_from(config.seed, "edge-shuffle")
+    trace = nn.fit(model, x, y, loss=config.loss, optimizer=opt,
+                   epochs=config.epochs, batch_size=config.batch_size,
+                   rng=rng, n_classes=config.n_classes)
     art = EdgeArtifact(config=config, model=model, tap_index=tap,
                        loss_trace=trace, epochs_run=config.epochs, n_train=int(idx.size))
     if config.task == "classification":
@@ -159,8 +157,10 @@ def train_edge(config: EdgeModelConfig, dataset: Dataset, train_indices) -> Edge
     return art
 
 
-def _batched_forward(model: nn.Model, x: np.ndarray, tap: Optional[int] = None,
-                     batch: int = 512):
+def batched_forward(model: nn.Model, x: np.ndarray, tap: Optional[int] = None,
+                    batch: int = 512):
+    """``model`` on ``x`` in chunks of ``batch`` rows; with ``tap``, also that
+    layer's activations."""
     outs, taps = [], []
     for start in range(0, len(x), batch):
         chunk = x[start:start + batch]
@@ -183,13 +183,13 @@ def extract_embeddings(artifact: EdgeArtifact, dataset: Dataset, indices) -> np.
     if idx.size == 0:
         return np.zeros((0, artifact.feature_width), dtype=np.float32)
     x = dataset.inputs[idx]
-    _, emb = _batched_forward(artifact.model, x, tap=artifact.tap_index)
+    _, emb = batched_forward(artifact.model, x, tap=artifact.tap_index)
     return emb
 
 
 def edge_logits(artifact: EdgeArtifact, dataset: Dataset, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64)
-    return _batched_forward(artifact.model, dataset.inputs[idx])
+    return batched_forward(artifact.model, dataset.inputs[idx])
 
 
 def edge_predict_proba(artifact: EdgeArtifact, dataset: Dataset, indices) -> np.ndarray:

@@ -7,14 +7,14 @@ average voting baselines.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import nn
 from .datasets import Dataset, EdgeAssignment
-from .edge import EdgeArtifact, edge_predict_proba, extract_embeddings
+from .edge import EdgeArtifact, batched_forward, edge_predict_proba, extract_embeddings
 from .metrics import MetricReport, classification_report, regression_report
 from .seeding import derived_seed, rng_from
 from .vae import Vae, fill
@@ -150,9 +150,7 @@ def train_ensemble(matrix: EmbeddingMatrix, labels, config: EnsembleConfig):
 
 
 def ensemble_logits(model: nn.Model, matrix: EmbeddingMatrix, batch: int = 512) -> np.ndarray:
-    x = _as_conv_input(matrix.values)
-    outs = [model.forward(x[s:s + batch]) for s in range(0, len(x), batch)]
-    return np.concatenate(outs) if outs else np.zeros((0,) + model.output_shape, dtype=np.float32)
+    return batched_forward(model, _as_conv_input(matrix.values), batch=batch)
 
 
 def predict(model: nn.Model, matrix: EmbeddingMatrix, task: str = "classification") -> np.ndarray:

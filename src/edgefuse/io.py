@@ -8,13 +8,14 @@ never silently reuse output from a different configuration.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import nn
-from .edge import EdgeArtifact, EdgeModelConfig, build_edge_model
+from .edge import EdgeArtifact, EdgeModelConfig, build_edge_model, embedding_tap_index
 from .vae import Vae
 
 FORMAT_VERSION = 1
@@ -45,7 +46,7 @@ def load_artifact(path, kind: str, config_hash: Optional[str] = None):
                 raise ArtifactError(f"{p}: not an artifact file (no header)")
             meta = json.loads(bytes(z["__meta__"]).decode("utf-8"))
             arrays = {k: z[k] for k in z.files if k != "__meta__"}
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:  # last two: truncated file
         raise ArtifactError(f"{p}: corrupt artifact ({exc})") from exc
     if meta.get("format_version") != FORMAT_VERSION:
         raise ArtifactError(f"{p}: format version {meta.get('format_version')} != {FORMAT_VERSION}")
@@ -100,7 +101,6 @@ def load_edge_artifact(path, config_hash: Optional[str] = None) -> EdgeArtifact:
     )
     model = build_edge_model(cfg)
     model.set_parameters(arrays)
-    from .edge import embedding_tap_index
     return EdgeArtifact(config=cfg, model=model,
                         tap_index=embedding_tap_index(cfg.specs, cfg.feature_width),
                         loss_trace=meta["loss_trace"], epochs_run=meta["epochs_run"],

@@ -5,7 +5,7 @@ AUC, and the regression trio (RMSE / MAE / R^2) plus decile-binned accuracy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,14 +75,6 @@ class MetricReport:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
-    def summary_row(self) -> dict:
-        """Flat row for CSV emission."""
-        row = {"task": self.task, "n_samples": self.n_samples}
-        for key in ("accuracy", "macro_precision", "macro_recall", "macro_auc",
-                    "rmse", "mae", "r2", "binned_accuracy"):
-            row[key] = getattr(self, key)
-        return row
 
 
 def classification_report(y_true, y_pred, scores: Optional[np.ndarray] = None,

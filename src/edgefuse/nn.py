@@ -600,8 +600,49 @@ class Adam(_FlatOptimizer):
 
 
 # ---------------------------------------------------------------------------
-# Training loop
+# Training
 # ---------------------------------------------------------------------------
+
+def loss_grad(out: np.ndarray, targets, loss: str, n_classes: Optional[int] = None):
+    """(loss, d loss / d out): "cross_entropy" takes integer labels and ``n_classes``
+    (fused softmax), "mse" takes targets of ``out``'s size."""
+    if loss == "cross_entropy":
+        if n_classes is None:
+            raise ValueError("cross_entropy needs n_classes")
+        return softmax_cross_entropy(out, one_hot(targets, n_classes, dtype=out.dtype))
+    if loss == "mse":
+        return mse_loss(out, np.asarray(targets, dtype=out.dtype).reshape(out.shape))
+    raise ValueError(f"unknown loss: {loss!r}")
+
+
+def train_step(model: Model, opt, x: np.ndarray, y, *, loss: str,
+               n_classes: Optional[int], epoch: int) -> float:
+    """One optimizer step on a batch; returns its loss. Raises DivergenceError
+    naming ``epoch`` when the loss goes non-finite."""
+    lval, dout = loss_grad(model.forward(x), y, loss, n_classes)
+    if not np.isfinite(lval):
+        raise DivergenceError(epoch)
+    model.backward(dout, input_grad=False)
+    opt.step(model)
+    return lval
+
+
+def minibatch_epochs(n: int, epochs: int, batch_size: int, rng: np.random.Generator,
+                     step) -> list[float]:
+    """Epochs over ``n`` samples, reshuffled by ``rng`` each epoch and cut into
+    batches; ``step(idx, epoch)`` trains on one batch and returns its mean loss.
+    Returns the per-epoch mean loss trace; a NonFiniteError names its epoch."""
+    trace = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        with epoch_scope(epoch):
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                total += step(idx, epoch) * len(idx)
+        trace.append(total / n)
+    return trace
+
 
 def fit(model: Model, inputs: np.ndarray, targets: np.ndarray, *, loss: str,
         optimizer, epochs: int, batch_size: int, rng: np.random.Generator,
@@ -613,32 +654,7 @@ def fit(model: Model, inputs: np.ndarray, targets: np.ndarray, *, loss: str,
     loss goes non-finite, and NonFiniteError when an output or gradient
     does; both report the epoch it happened in.
     """
-    n = len(inputs)
-    if n == 0:
+    if len(inputs) == 0:
         raise ValueError("cannot train on an empty dataset")
-    if loss == "cross_entropy" and n_classes is None:
-        raise ValueError("cross_entropy needs n_classes")
-    trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        total, seen = 0.0, 0
-        with epoch_scope(epoch):
-            for start in range(0, n, batch_size):
-                idx = order[start:start + batch_size]
-                out = model.forward(inputs[idx])
-                if loss == "cross_entropy":
-                    y = one_hot(targets[idx], n_classes, dtype=model.dtype)
-                    lval, dout = softmax_cross_entropy(out, y)
-                elif loss == "mse":
-                    y = np.asarray(targets[idx], dtype=model.dtype).reshape(out.shape)
-                    lval, dout = mse_loss(out, y)
-                else:
-                    raise ValueError(f"unknown loss: {loss!r}")
-                if not np.isfinite(lval):
-                    raise DivergenceError(epoch)
-                model.backward(dout, input_grad=False)
-                optimizer.step(model)
-                total += lval * len(idx)
-                seen += len(idx)
-        trace.append(total / seen)
-    return trace
+    return minibatch_epochs(len(inputs), epochs, batch_size, rng, lambda idx, epoch: train_step(
+        model, optimizer, inputs[idx], targets[idx], loss=loss, n_classes=n_classes, epoch=epoch))

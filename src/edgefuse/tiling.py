@@ -15,14 +15,18 @@ sum rounded once, whatever the factor; integer inputs stay integer and exact.
 ``execute_plan`` runs a whole model forward+backward
 in duplicate-operate-aggregate style over logical lanes, with a stream audit
 verifying that each tile is produced once and consumed exactly as many times
-as it was duplicated.
+as it was duplicated. Dense and conv layers run from one table, ``KERNELS``,
+keyed by layer kind: it names the weight axes that carry the input and output
+tiles and the bias-free partial forward and backward kernels of ``nn``, so one
+forward and one backward lane/audit loop serve both kinds. The bias is added
+per output tile, and ``db`` comes from the first input tile's partial.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -106,8 +110,15 @@ class LayerPlan:
     produced_factor: int
     weight_fwd: FactoredShape
     output_fwd: FactoredShape
-    loss_bwd: FactoredShape
-    grad_bwd: FactoredShape
+
+    # backward: the incoming loss is tiled like the output, weight gradients like the weights
+    @property
+    def loss_bwd(self) -> FactoredShape:
+        return self.output_fwd
+
+    @property
+    def grad_bwd(self) -> FactoredShape:
+        return self.weight_fwd
 
     def to_dict(self) -> dict:
         return {
@@ -127,12 +138,6 @@ class TilingPlan:
     c_f: int
     factors_by_index: dict      # request layer index -> (consumed, produced)
 
-    def entry_for(self, index: int) -> Optional[LayerPlan]:
-        for e in self.entries:
-            if e.index == index:
-                return e
-        return None
-
     def to_dict(self) -> dict:
         return {"bs": self.bs, "bs_f": self.bs_f, "bs_p": self.bs_p, "c_f": self.c_f,
                 "layers": [e.to_dict() for e in self.entries]}
@@ -148,40 +153,27 @@ def plan_tiling(request: TilingRequest) -> TilingPlan:
     entries = []
     factors_by_index = {}
     carried = request.c_f
-    first = True
     for index, layer in enumerate(request.layers):
         if layer.kind not in TILEABLE:
             continue
+        f, g = layer.factor, carried
         if layer.kind == "conv":
-            f = layer.factor
-            g = request.c_f if first else carried
             _check_divides(f, layer.filters, index, "conv", "filters")
             _check_divides(g, layer.channels, index, "conv", "channels")
             w = FactoredShape(outer=(f, g),
                               inner=(layer.filters // f, layer.channels // g),
                               rest=(layer.kw, layer.kh))
-            o = FactoredShape(outer=(request.bs_f, f),
-                              inner=(request.bs_p, layer.filters // f),
-                              rest=(layer.out_w, layer.out_h))
-            # backward: the incoming loss mirrors the output layout; weight
-            # gradients mirror the weights
-            d_loss = o
-            gr = w
+            o_inner, o_rest = layer.filters // f, (layer.out_w, layer.out_h)
         else:
-            f = layer.factor
-            g = request.c_f if first else carried
             _check_divides(f, layer.l2, index, "fcl", "l2")
             _check_divides(g, layer.l1, index, "fcl", "l1")
             w = FactoredShape(outer=(g, f), inner=(layer.l1 // g, layer.l2 // f))
-            o = FactoredShape(outer=(request.bs_f, f), inner=(request.bs_p, layer.l2 // f))
-            d_loss = o
-            gr = w
+            o_inner, o_rest = layer.l2 // f, ()
+        o = FactoredShape(outer=(request.bs_f, f), inner=(request.bs_p, o_inner), rest=o_rest)
         entries.append(LayerPlan(index=index, kind=layer.kind, consumed_factor=g,
-                                 produced_factor=f, weight_fwd=w, output_fwd=o,
-                                 loss_bwd=d_loss, grad_bwd=gr))
+                                 produced_factor=f, weight_fwd=w, output_fwd=o))
         factors_by_index[index] = (g, f)
         carried = f
-        first = False
     return TilingPlan(entries=entries, bs=request.bs, bs_f=request.bs_f,
                       bs_p=request.bs_p, c_f=request.c_f,
                       factors_by_index=factors_by_index)
@@ -378,6 +370,30 @@ class TiledRunResult:
     lanes_by_layer: dict          # layer index -> distinct (batch, out) lanes used
 
 
+@dataclass(frozen=True)
+class _Kernel:
+    """One tileable layer kind: the weight axes of its input and output tiles
+    (activations carry both on axis 1), and its partials on one tile pair."""
+
+    in_axis: int
+    out_axis: int
+    forward: Callable
+    backward: Callable
+
+    def tile(self, isl: slice, osl: slice) -> tuple:
+        """Index of the weight tile joining input tile ``isl`` to output tile ``osl``."""
+        return (isl, osl) if self.in_axis == 0 else (osl, isl)
+
+
+# the kernels are looked up in ``nn`` at call time, so a patched kernel is seen
+KERNELS = {
+    "dense": _Kernel(0, 1, lambda layer, x, w: nn.dense_forward(x, w),
+                     lambda layer, x, w, dy: nn.dense_backward(x, w, dy)),
+    "conv": _Kernel(1, 0, lambda layer, x, w: nn.conv2d_forward(x, w, None, layer.stride),
+                    lambda layer, x, w, dy: nn.conv2d_backward(x, w, dy, layer.stride)),
+}
+
+
 def _splits(total: int, parts: int):
     step = total // parts
     return [slice(k * step, (k + 1) * step) for k in range(parts)]
@@ -413,51 +429,30 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
         pools = {}
         for li, (spec, layer) in enumerate(zip(model.specs, model.layers)):
             acts.append(act)
-            if spec.kind in ("conv", "dense"):
+            if spec.kind in KERNELS:
+                kernel = KERNELS[spec.kind]
                 g, f = plan.factors_by_index[li]
-                lanes_by_layer.setdefault(li, set())
-                if spec.kind == "dense":
-                    w, b = layer.params["w"], layer.params["b"]
-                    in_slices = _splits(w.shape[0], g)
-                    out_slices = _splits(w.shape[1], f)
-                    outs = []
-                    for ol, osl in enumerate(out_slices):
-                        lanes_by_layer[li].add((bl, ol))
-                        part = None
-                        for it, isl in enumerate(in_slices):
-                            if bl == 0:
-                                audit.produce((li, "w", it, ol))
-                                audit.duplicate((li, "w", it, ol), plan.bs_f)
-                            if ol == 0:
-                                audit.produce((li, "x", bl, it))
-                                audit.duplicate((li, "x", bl, it), f)
-                            audit.consume((li, "x", bl, it))
-                            audit.consume((li, "w", it, ol))
-                            p = act[:, isl] @ w[isl, osl]
-                            part = p if part is None else part + p
-                        outs.append(part + b[osl])
-                    act = np.concatenate(outs, axis=1)
-                else:
-                    w, b = layer.params["w"], layer.params["b"]
-                    ch_slices = _splits(w.shape[1], g)
-                    fl_slices = _splits(w.shape[0], f)
-                    outs = []
-                    for ol, osl in enumerate(fl_slices):
-                        lanes_by_layer[li].add((bl, ol))
-                        part = None
-                        for it, isl in enumerate(ch_slices):
-                            if bl == 0:
-                                audit.produce((li, "w", it, ol))
-                                audit.duplicate((li, "w", it, ol), plan.bs_f)
-                            if ol == 0:
-                                audit.produce((li, "x", bl, it))
-                                audit.duplicate((li, "x", bl, it), f)
-                            audit.consume((li, "x", bl, it))
-                            audit.consume((li, "w", it, ol))
-                            p = nn.conv2d_forward(act[:, isl], w[osl, isl], None, layer.stride)
-                            part = p if part is None else part + p
-                        outs.append(part + b[osl][None, :, None, None])
-                    act = np.concatenate(outs, axis=1)
+                w, b = layer.params["w"], layer.params["b"]
+                in_slices = _splits(w.shape[kernel.in_axis], g)
+                out_slices = _splits(w.shape[kernel.out_axis], f)
+                outs = []
+                for ol, osl in enumerate(out_slices):
+                    lanes_by_layer.setdefault(li, set()).add((bl, ol))
+                    part = None
+                    for it, isl in enumerate(in_slices):
+                        if bl == 0:
+                            audit.produce((li, "w", it, ol))
+                            audit.duplicate((li, "w", it, ol), plan.bs_f)
+                        if ol == 0:
+                            audit.produce((li, "x", bl, it))
+                            audit.duplicate((li, "x", bl, it), f)
+                        audit.consume((li, "x", bl, it))
+                        audit.consume((li, "w", it, ol))
+                        p = kernel.forward(layer, act[:, isl], w[kernel.tile(isl, osl)])
+                        part = p if part is None else part + p
+                    # the bias runs along the output axis 1 of the partial
+                    outs.append(part + b[osl].reshape((-1,) + (1,) * (part.ndim - 2)))
+                act = np.concatenate(outs, axis=1)
             elif spec.kind == "relu":
                 act = nn.relu_forward(act)
             elif spec.kind == "maxpool":
@@ -469,32 +464,26 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
         lane_pool.append(pools)
         lane_outs.append(act)
     outputs = np.concatenate(lane_outs, axis=0)
+    lanes = {k: len(v) for k, v in lanes_by_layer.items()}
 
     if targets is None or loss is None:
         audit.verify()
         return TiledRunResult(outputs=outputs, loss=None, grads=[], audit=audit,
-                              lanes_by_layer={k: len(v) for k, v in lanes_by_layer.items()})
+                              lanes_by_layer=lanes)
 
-    # ---------------- loss ----------------
-    if loss == "cross_entropy":
-        onehot = nn.one_hot(targets, n_classes, dtype=model.dtype)
-        loss_val, dout = nn.softmax_cross_entropy(outputs, onehot)
-    elif loss == "mse":
-        t = np.asarray(targets, dtype=model.dtype).reshape(outputs.shape)
-        loss_val, dout = nn.mse_loss(outputs, t)
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
+    loss_val, dout = nn.loss_grad(outputs, targets, loss, n_classes)
 
     # ---------------- backward ----------------
     grads: dict = {}
     lane_dout = [dout[bsl] for bsl in batch_slices]
     for li in reversed(range(len(model.layers))):
         spec, layer = model.specs[li], model.layers[li]
-        if spec.kind == "dense":
+        if spec.kind in KERNELS:
+            kernel = KERNELS[spec.kind]
             g, f = plan.factors_by_index[li]
             w = layer.params["w"]
-            in_slices = _splits(w.shape[0], g)
-            out_slices = _splits(w.shape[1], f)
+            in_slices = _splits(w.shape[kernel.in_axis], g)
+            out_slices = _splits(w.shape[kernel.out_axis], f)
             dw = np.zeros_like(w)
             db = np.zeros_like(layer.params["b"])
             new_dout = []
@@ -503,36 +492,13 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
                 dy = lane_dout[bl]
                 dx = np.zeros_like(xin)
                 for ol, osl in enumerate(out_slices):
-                    db[osl] += dy[:, osl].sum(axis=0)
                     for it, isl in enumerate(in_slices):
                         audit.produce((li, "dw-part", bl, it, ol))
                         audit.duplicate((li, "dw-part", bl, it, ol), 1)
                         audit.consume((li, "dw-part", bl, it, ol))
-                        dw[isl, osl] += xin[:, isl].T @ dy[:, osl]
-                        dx[:, isl] += dy[:, osl] @ w[isl, osl].T
-                new_dout.append(dx)
-            grads[li] = {"w": dw, "b": db}
-            lane_dout = new_dout
-        elif spec.kind == "conv":
-            g, f = plan.factors_by_index[li]
-            w = layer.params["w"]
-            ch_slices = _splits(w.shape[1], g)
-            fl_slices = _splits(w.shape[0], f)
-            dw = np.zeros_like(w)
-            db = np.zeros_like(layer.params["b"])
-            new_dout = []
-            for bl in range(plan.bs_f):
-                xin = lane_acts[bl][li]
-                dy = lane_dout[bl]
-                dx = np.zeros_like(xin)
-                for ol, osl in enumerate(fl_slices):
-                    for it, isl in enumerate(ch_slices):
-                        audit.produce((li, "dw-part", bl, it, ol))
-                        audit.duplicate((li, "dw-part", bl, it, ol), 1)
-                        audit.consume((li, "dw-part", bl, it, ol))
-                        dxp, dwp, dbp = nn.conv2d_backward(xin[:, isl], w[osl, isl],
-                                                           dy[:, osl], layer.stride)
-                        dw[osl, isl] += dwp
+                        wt = kernel.tile(isl, osl)
+                        dxp, dwp, dbp = kernel.backward(layer, xin[:, isl], w[wt], dy[:, osl])
+                        dw[wt] += dwp
                         dx[:, isl] += dxp
                         if it == 0:
                             db[osl] += dbp
@@ -550,19 +516,15 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
             lane_dout = [lane_dout[bl].reshape(lane_acts[bl][li].shape)
                          for bl in range(plan.bs_f)]
     audit.verify()
-    grad_list = []
-    for li, layer in enumerate(model.layers):
-        for name in sorted(layer.params):
-            grad_list.append((li, name, grads[li][name]))
-    return TiledRunResult(outputs=outputs, loss=loss_val, grads=grad_list, audit=audit,
-                          lanes_by_layer={k: len(v) for k, v in lanes_by_layer.items()})
+    return TiledRunResult(outputs=outputs, loss=loss_val, audit=audit, lanes_by_layer=lanes,
+                          grads=[(li, name, grads[li][name]) for li, name, _ in model.parameters()])
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
-def plan_label(plan: TilingPlan, request: Optional[TilingRequest] = None) -> str:
+def plan_label(plan: TilingPlan) -> str:
     conv_f = [str(e.produced_factor) for e in plan.entries if e.kind == "conv"]
     fcl_f = [str(e.produced_factor) for e in plan.entries if e.kind == "fcl"]
     if conv_f:

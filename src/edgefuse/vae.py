@@ -174,19 +174,9 @@ def train_vae(embeddings: np.ndarray, epochs: int, seed, *, lr: float = 1e-4,
     if emb.ndim != 2 or emb.shape[0] == 0:
         raise ValueError(f"embeddings must be a nonempty (n, width) matrix, got {emb.shape}")
     vae = Vae(feature_width=emb.shape[1], latent_dim=latent_dim, seed=seed, lr=lr)
-    rng = rng_from(seed, "vae-train")
-    n = emb.shape[0]
-    trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        total, seen = 0.0, 0
-        with nn.epoch_scope(epoch):
-            for start in range(0, n, batch_size):
-                idx = order[start:start + batch_size]
-                loss = vae.train_step(emb[idx], rng)
-                total += loss * len(idx)
-                seen += len(idx)
-        trace.append(total / seen)
+    rng = rng_from(seed, "vae-train")       # reshuffles and noise draws share it
+    trace = nn.minibatch_epochs(len(emb), epochs, batch_size, rng,
+                                lambda idx, epoch: vae.train_step(emb[idx], rng))
     return vae, trace
 
 

@@ -241,6 +241,18 @@ def test_divergence_reports_epoch():
     assert err.value.epoch == 0
 
 
+@pytest.mark.parametrize("loss,n_classes,match", [
+    ("cross_entropy", None, "n_classes"),
+    ("hinge", 3, "unknown loss"),
+])
+def test_fit_rejects_a_bad_loss(loss, n_classes, match):
+    m = nn.Model([nn.dense(3)], (2,), seed=0)
+    with pytest.raises(ValueError, match=match):
+        nn.fit(m, np.ones((4, 2), dtype=np.float32), np.zeros(4, dtype=np.int64), loss=loss,
+               optimizer=nn.SGD(0.1), epochs=1, batch_size=2, rng=np.random.default_rng(0),
+               n_classes=n_classes)
+
+
 # ---------------------------------------------------------------------------
 # parameter counting
 # ---------------------------------------------------------------------------

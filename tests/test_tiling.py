@@ -272,6 +272,18 @@ def test_same_loss_under_batch_tiling():
     assert res.loss == pytest.approx(ref_loss, rel=1e-12)
 
 
+@pytest.mark.parametrize("loss,n_classes,match", [
+    ("cross_entropy", None, "n_classes"),
+    ("hinge", 3, "unknown loss"),
+])
+def test_execute_plan_rejects_a_bad_loss(loss, n_classes, match):
+    m = _micro_model()
+    x = np.random.default_rng(16).normal(size=(4, 2, 8, 8))
+    plan = plan_tiling(request_from_model(m, [1, 1, 1], bs=4, bs_f=1, c_f=1))
+    with pytest.raises(ValueError, match=match):
+        execute_plan(plan, m, x, np.zeros(4, dtype=np.int64), loss=loss, n_classes=n_classes)
+
+
 def test_stream_audit_single_use_discipline():
     m = _micro_model()
     rng = np.random.default_rng(16)
