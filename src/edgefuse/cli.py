@@ -111,7 +111,7 @@ def stage_partition(cfg: ExperimentConfig, force: bool = False) -> EdgeAssignmen
         "test_fractions_raw": assignment.test_fractions_raw.tolist(),
     }
     run.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
+    with io.atomic_write(out) as f:
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
     cfg.write(run / "config.json")
     return assignment
@@ -181,7 +181,7 @@ def stage_train_edges(cfg: ExperimentConfig, force: bool = False, workers: int =
             "param_count": art.param_count(), "train_accuracy": art.train_accuracy,
             "final_loss": art.loss_trace[-1] if art.loss_trace else None,
         })
-    with open(run / "edges_summary.json", "w") as f:
+    with io.atomic_write(run / "edges_summary.json") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
     return artifacts
 
@@ -268,7 +268,7 @@ def _write_run_outputs(cfg: ExperimentConfig, run_result, edges, bundle, vaes,
     io.save_ensemble_artifact(run / "ensemble.npz", run_result.model, cfg.config_hash(),
                               {"scenario": run_result.config.scenario,
                                "task": cfg.task, "fill_policy": cfg.fill_policy})
-    with open(run / "metrics.json", "w") as f:
+    with io.atomic_write(run / "metrics.json") as f:
         json.dump(_metrics_payload(cfg, run_result, edges, bundle, vaes), f,
                   sort_keys=True, indent=2)
     run_result.ledger.write_summary(run / "ledger.json")
@@ -388,17 +388,20 @@ def collect_report_rows(run_dirs) -> list:
 
 def write_report(rows, out_csv=None, out_json=None, stream=None) -> None:
     if out_json:
-        with open(out_json, "w") as f:
+        with io.atomic_write(out_json) as f:
             json.dump(rows, f, sort_keys=True, indent=2)
-    target = open(out_csv, "w", newline="") if out_csv else (stream or sys.stdout)
-    try:
+
+    def write_csv(target) -> None:
         w = csv.DictWriter(target, fieldnames=REPORT_COLUMNS)
         w.writeheader()
         for row in rows:
             w.writerow(row)
-    finally:
-        if out_csv:
-            target.close()
+
+    if out_csv:
+        with io.atomic_write(out_csv, newline="") as f:
+            write_csv(f)
+    else:
+        write_csv(stream or sys.stdout)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .edge import EdgeArtifact
 from .ensemble import (EnsembleConfig, _as_conv_input, build_ensemble_dataset, evaluate,
                        make_ensemble_model, predict, predict_proba, stack_embeddings,
                        train_ensemble)
+from .io import atomic_write
 from .seeding import derived_seed, rng_from
 from .vae import Vae, fill, missing_slot_latents, train_vae
 
@@ -163,11 +164,11 @@ class ScenarioLedger:
         }
 
     def write_summary(self, path) -> None:
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             json.dump(self.to_summary(), f, sort_keys=True, indent=2)
 
     def write_events_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, newline="") as f:
             w = csv.writer(f)
             w.writerow(["round", "edge", "rows", "bytes", "seconds"])
             for r, e, rows, by, s in zip(self.event_round, self.event_edge,

@@ -3,12 +3,18 @@
 Every artifact records the format version, its kind, and the hash of the
 experiment config that produced it; loading checks all three so a stage can
 never silently reuse output from a different configuration.
+
+Artifacts and run outputs are written through ``atomic_write``, so a crash
+mid-write leaves the previous file (or none), never a truncated one.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -25,13 +31,30 @@ class ArtifactError(RuntimeError):
     pass
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", newline=None):
+    """Write a temporary file beside ``path`` and ``os.replace`` it into place
+    when the block exits cleanly. If the block raises, the temporary file is
+    removed and ``path`` keeps its old content (or stays absent)."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    f = open(tmp, mode.replace("w", "x"), newline=newline)   # "x": never another's file
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_artifact(path, kind: str, arrays: dict, meta: dict) -> None:
     header = {"format_version": FORMAT_VERSION, "kind": kind, **meta}
     payload = {k: np.asarray(v) for k, v in arrays.items()}
     payload["__meta__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
                                         dtype=np.uint8)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         np.savez(f, **payload)
 
 

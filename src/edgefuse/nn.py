@@ -157,15 +157,21 @@ def conv2d_out_hw(h: int, w: int, kh: int, kw: int, sh: int, sw: int) -> tuple[i
     return (h - kh) // sh + 1, (w - kw) // sw + 1
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b=None, stride=(1, 1)) -> np.ndarray:
-    """Valid-padding 2-d convolution. x: (B,C,H,W), w: (F,C,kh,kw) -> (B,F,OH,OW)."""
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b=None, stride=(1, 1),
+                   cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """Valid-padding 2-d convolution. x: (B,C,H,W), w: (F,C,kh,kw) -> (B,F,OH,OW).
+
+    ``cols``, if given, is ``_im2col`` of ``x`` for this kernel and stride,
+    built once by a caller that convolves the same input more than once.
+    """
     bsz, c, h, wid = x.shape
     f, cw, kh, kw = w.shape
     if c != cw:
         raise ShapeMismatchError(f"conv channels: input {c} vs weight {cw}")
     sh, sw = stride
     oh, ow = conv2d_out_hw(h, wid, kh, kw, sh, sw)
-    cols = _im2col(x, kh, kw, sh, sw)
+    if cols is None:
+        cols = _im2col(x, kh, kw, sh, sw)
     out = cols @ w.reshape(f, -1).T              # (B*OH*OW, F)
     out = out.reshape(bsz, oh, ow, f).transpose(0, 3, 1, 2)
     if b is not None:
@@ -174,9 +180,9 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b=None, stride=(1, 1)) -> np.nd
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, stride=(1, 1),
-                    input_grad=True):
+                    input_grad=True, cols: Optional[np.ndarray] = None):
     """Gradients of a valid-padding conv; returns (dx, dw, db), dx None
-    unless ``input_grad``.
+    unless ``input_grad``. ``cols`` is as for ``conv2d_forward``.
 
     The dx scatter loops over whichever is smaller, kernel positions or
     output positions: small-kernel/large-map convs take the first path,
@@ -186,7 +192,8 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, stride=(1, 1
     f, _, kh, kw = w.shape
     sh, sw = stride
     oh, ow = dout.shape[2], dout.shape[3]
-    cols = _im2col(x, kh, kw, sh, sw)                        # (B*OH*OW, C*kh*kw)
+    if cols is None:
+        cols = _im2col(x, kh, kw, sh, sw)                    # (B*OH*OW, C*kh*kw)
     dmat = dout.transpose(0, 2, 3, 1).reshape(-1, f)          # (B*OH*OW, F)
     dw = (dmat.T @ cols).reshape(f, c, kh, kw)
     db = dout.sum(axis=(0, 2, 3))
@@ -207,29 +214,41 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, stride=(1, 1
     return dx, dw, db
 
 
+def _pool_cell(a: np.ndarray, size, k: int) -> np.ndarray:
+    """View of window position ``k`` (row-major) of every full pooling window."""
+    ph, pw = size
+    i, j = divmod(k, pw)
+    oh, ow = a.shape[2] // ph, a.shape[3] // pw
+    return a[:, :, i:oh * ph:ph, j:ow * pw:pw]
+
+
 def maxpool2d_forward(x: np.ndarray, size=(2, 2)):
     """Non-overlapping max pooling; trailing rows/cols that do not fill a
-    window are dropped. Returns (out, argmax) with argmax kept for backward."""
-    ph, pw = size
-    b, c, h, w = x.shape
-    oh, ow = h // ph, w // pw
-    xv = x[:, :, :oh * ph, :ow * pw]
-    xv = xv.reshape(b, c, oh, ph, ow, pw).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, ph * pw)
-    idx = xv.argmax(axis=-1)
-    out = np.take_along_axis(xv, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+    window are dropped. Returns (out, argmax), argmax the row-major position
+    of the max in its window, kept for backward.
+
+    One strided pass per window position: the first maximum wins a tie, and
+    a window holding a NaN gives its first NaN, as ``np.argmax`` would.
+    """
+    out = _pool_cell(x, size, 0).copy()
+    argmax = np.zeros(out.shape, dtype=np.intp)
+    has_nan = np.isnan(x).any()
+    for k in range(1, size[0] * size[1]):
+        cell = _pool_cell(x, size, k)
+        take = cell > out
+        if has_nan:
+            take |= np.isnan(cell) & ~np.isnan(out)
+        out = np.where(take, cell, out)
+        argmax += take * (k - argmax)
+    return out, argmax
 
 
 def maxpool2d_backward(dout: np.ndarray, argmax: np.ndarray, x_shape, size=(2, 2)) -> np.ndarray:
-    ph, pw = size
-    b, c, h, w = x_shape
-    oh, ow = h // ph, w // pw
-    flat = np.zeros((b, c, oh, ow, ph * pw), dtype=dout.dtype)
-    np.put_along_axis(flat, argmax[..., None], dout[..., None], axis=-1)
+    """Each output gradient goes to its window's argmax cell; every other
+    cell, dropped trailing rows and columns included, gets zero."""
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    dx[:, :, :oh * ph, :ow * pw] = (
-        flat.reshape(b, c, oh, ow, ph, pw).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh * ph, ow * pw)
-    )
+    for k in range(size[0] * size[1]):
+        _pool_cell(dx, size, k)[...] = np.where(argmax == k, dout, 0)
     return dx
 
 

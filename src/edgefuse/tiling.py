@@ -20,6 +20,14 @@ keyed by layer kind: it names the weight axes that carry the input and output
 tiles and the bias-free partial forward and backward kernels of ``nn``, so one
 forward and one backward lane/audit loop serve both kinds. The bias is added
 per output tile, and ``db`` comes from the first input tile's partial.
+
+Each pass lowers each input tile of a lane once per layer (a conv tile's
+im2col matrix) and reuses it for the partials of every output tile, as an
+accelerator keeps an input tile on chip while it visits the output tiles;
+the lowered tiles are dropped when the layer is done. The backward pass
+computes no input gradient for the first layer with parameters, since
+nothing reads it, and stops there, as ``nn.Model.backward(input_grad=False)``
+does in training.
 """
 
 from __future__ import annotations
@@ -373,10 +381,13 @@ class TiledRunResult:
 @dataclass(frozen=True)
 class _Kernel:
     """One tileable layer kind: the weight axes of its input and output tiles
-    (activations carry both on axis 1), and its partials on one tile pair."""
+    (activations carry both on axis 1), the lowering of an input tile that
+    its partials share (``None`` if they share nothing), and its partials on
+    one tile pair given that lowering."""
 
     in_axis: int
     out_axis: int
+    lower: Callable
     forward: Callable
     backward: Callable
 
@@ -387,10 +398,15 @@ class _Kernel:
 
 # the kernels are looked up in ``nn`` at call time, so a patched kernel is seen
 KERNELS = {
-    "dense": _Kernel(0, 1, lambda layer, x, w: nn.dense_forward(x, w),
-                     lambda layer, x, w, dy: nn.dense_backward(x, w, dy)),
-    "conv": _Kernel(1, 0, lambda layer, x, w: nn.conv2d_forward(x, w, None, layer.stride),
-                    lambda layer, x, w, dy: nn.conv2d_backward(x, w, dy, layer.stride)),
+    "dense": _Kernel(0, 1, lambda layer, x: None,
+                     lambda layer, x, w, cols: nn.dense_forward(x, w),
+                     lambda layer, x, w, dy, input_grad, cols:
+                         nn.dense_backward(x, w, dy, input_grad)),
+    "conv": _Kernel(1, 0,
+                    lambda layer, x: nn._im2col(x, *layer.params["w"].shape[2:], *layer.stride),
+                    lambda layer, x, w, cols: nn.conv2d_forward(x, w, None, layer.stride, cols),
+                    lambda layer, x, w, dy, input_grad, cols:
+                        nn.conv2d_backward(x, w, dy, layer.stride, input_grad, cols)),
 }
 
 
@@ -435,6 +451,7 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
                 w, b = layer.params["w"], layer.params["b"]
                 in_slices = _splits(w.shape[kernel.in_axis], g)
                 out_slices = _splits(w.shape[kernel.out_axis], f)
+                cols = [kernel.lower(layer, act[:, isl]) for isl in in_slices]
                 outs = []
                 for ol, osl in enumerate(out_slices):
                     lanes_by_layer.setdefault(li, set()).add((bl, ol))
@@ -448,10 +465,11 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
                             audit.duplicate((li, "x", bl, it), f)
                         audit.consume((li, "x", bl, it))
                         audit.consume((li, "w", it, ol))
-                        p = kernel.forward(layer, act[:, isl], w[kernel.tile(isl, osl)])
+                        p = kernel.forward(layer, act[:, isl], w[kernel.tile(isl, osl)], cols[it])
                         part = p if part is None else part + p
                     # the bias runs along the output axis 1 of the partial
                     outs.append(part + b[osl].reshape((-1,) + (1,) * (part.ndim - 2)))
+                del cols   # lowered tiles live for their layer only
                 act = np.concatenate(outs, axis=1)
             elif spec.kind == "relu":
                 act = nn.relu_forward(act)
@@ -476,10 +494,15 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
     # ---------------- backward ----------------
     grads: dict = {}
     lane_dout = [dout[bsl] for bsl in batch_slices]
-    for li in reversed(range(len(model.layers))):
+    # nothing reads the input gradient of the first layer with parameters,
+    # nor anything below it
+    first = next((li for li, spec in enumerate(model.specs) if spec.kind in KERNELS),
+                 len(model.layers))
+    for li in reversed(range(first, len(model.layers))):
         spec, layer = model.specs[li], model.layers[li]
         if spec.kind in KERNELS:
             kernel = KERNELS[spec.kind]
+            input_grad = li > first
             g, f = plan.factors_by_index[li]
             w = layer.params["w"]
             in_slices = _splits(w.shape[kernel.in_axis], g)
@@ -490,18 +513,22 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
             for bl in range(plan.bs_f):
                 xin = lane_acts[bl][li]
                 dy = lane_dout[bl]
-                dx = np.zeros_like(xin)
+                cols = [kernel.lower(layer, xin[:, isl]) for isl in in_slices]
+                dx = np.zeros_like(xin) if input_grad else None
                 for ol, osl in enumerate(out_slices):
                     for it, isl in enumerate(in_slices):
                         audit.produce((li, "dw-part", bl, it, ol))
                         audit.duplicate((li, "dw-part", bl, it, ol), 1)
                         audit.consume((li, "dw-part", bl, it, ol))
                         wt = kernel.tile(isl, osl)
-                        dxp, dwp, dbp = kernel.backward(layer, xin[:, isl], w[wt], dy[:, osl])
+                        dxp, dwp, dbp = kernel.backward(layer, xin[:, isl], w[wt], dy[:, osl],
+                                                        input_grad, cols[it])
                         dw[wt] += dwp
-                        dx[:, isl] += dxp
+                        if input_grad:
+                            dx[:, isl] += dxp
                         if it == 0:
                             db[osl] += dbp
+                del cols
                 new_dout.append(dx)
             grads[li] = {"w": dw, "b": db}
             lane_dout = new_dout

@@ -137,3 +137,40 @@ def scalar_mse(pred, target):
     for a, b in zip(flat_p, flat_t):
         total += (float(a) - float(b)) ** 2
     return total / flat_p.size
+
+
+def scalar_maxpool2d(x, size):
+    """Loop max pooling: (out, argmax) with argmax the row-major position in
+    the window. The first maximum wins a tie and the first NaN wins outright;
+    trailing rows and columns that do not fill a window are dropped."""
+    ph, pw = size
+    bsz, c, h, w = x.shape
+    oh, ow = h // ph, w // pw
+    out = np.zeros((bsz, c, oh, ow), dtype=x.dtype)
+    argmax = np.zeros((bsz, c, oh, ow), dtype=np.int64)
+    for n in range(bsz):
+        for ci in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    best = 0
+                    for k in range(1, ph * pw):
+                        cur = float(x[n, ci, i * ph + best // pw, j * pw + best % pw])
+                        val = float(x[n, ci, i * ph + k // pw, j * pw + k % pw])
+                        if not math.isnan(cur) and (math.isnan(val) or val > cur):
+                            best = k
+                    argmax[n, ci, i, j] = best
+                    out[n, ci, i, j] = x[n, ci, i * ph + best // pw, j * pw + best % pw]
+    return out, argmax
+
+
+def scalar_maxpool2d_backward(dout, argmax, x_shape, size):
+    ph, pw = size
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    bsz, c, oh, ow = dout.shape
+    for n in range(bsz):
+        for ci in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    k = int(argmax[n, ci, i, j])
+                    dx[n, ci, i * ph + k // pw, j * pw + k % pw] = dout[n, ci, i, j]
+    return dx

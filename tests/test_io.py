@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from edgefuse import io, nn
+from edgefuse import cli, comms, io, nn
 from edgefuse.datasets import make_synthetic_classification
 from edgefuse.edge import random_edge_config, train_edge
 from edgefuse.ensemble import EnsembleConfig, make_ensemble_model
@@ -91,3 +93,64 @@ def test_truncated_file_rejected(vae_file, keep):
     vae_file.write_bytes(data[:int(len(data) * keep)])
     with pytest.raises(io.ArtifactError, match="corrupt artifact"):
         io.load_artifact(vae_file, "vae")
+
+
+# ---------------------------------------------------------------------------
+# atomic writes: a failure mid-write keeps the old file and leaves no temp file
+# ---------------------------------------------------------------------------
+
+def _fail_midway(path):
+    with io.atomic_write(path) as f:
+        f.write('{"partial": ')
+        raise RuntimeError("interrupted")
+
+
+# to_summary and the last event cannot be written, so each writer fails after
+# it has begun its file
+_BAD_LEDGER = SimpleNamespace(to_summary=lambda: {"comm_count": 1, "total": object()},
+                              event_round=[0, 1], event_edge=[0, 1], event_rows=[3, 3],
+                              event_bytes=[12, 12], event_seconds=[0.5, "not a number"])
+
+
+@pytest.mark.parametrize("writer", [
+    _fail_midway,
+    lambda path: comms.ScenarioLedger.write_summary(_BAD_LEDGER, path),
+    lambda path: comms.ScenarioLedger.write_events_csv(_BAD_LEDGER, path),
+    lambda path: cli.write_report([{"accuracy": object()}], out_json=path),
+], ids=["helper", "ledger.json", "ledger.csv", "report json"])
+@pytest.mark.parametrize("old", ["old content\n", None], ids=["old file", "no file"])
+def test_failed_write_keeps_the_old_file(tmp_path, writer, old):
+    path = tmp_path / "out"
+    if old is not None:
+        path.write_text(old)
+    with pytest.raises((RuntimeError, TypeError, ValueError)):
+        writer(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out"] if old is not None else [])
+    if old is not None:
+        assert path.read_text() == old
+
+
+def test_failed_save_artifact_keeps_the_old_artifact(vae_file, monkeypatch):
+    def savez_then_fail(f, **payload):
+        f.write(b"PK\x03\x04 partial archive")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(io.np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="no space"):
+        io.save_artifact(vae_file, "vae", {"w": np.zeros(3)}, {"config_hash": "new"})
+    monkeypatch.undo()
+    arrays, meta = io.load_artifact(vae_file, "vae", "h")
+    assert np.array_equal(arrays["w"], np.arange(600.0))
+    assert [p.name for p in vae_file.parent.iterdir()] == ["vae.npz"]
+
+
+def test_atomic_write_replaces_the_file_with_the_usual_mode(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("x")
+    path = tmp_path / "out.csv"
+    path.write_text("old")
+    with io.atomic_write(path, newline="") as f:
+        f.write("a,b\r\n")
+    assert path.read_bytes() == b"a,b\r\n"
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "plain"]

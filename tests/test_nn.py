@@ -4,7 +4,8 @@ import pytest
 from edgefuse import nn
 
 from helpers import (assert_grads_match, model_gradcheck, numeric_grad,
-                     scalar_cross_entropy, scalar_mlp, scalar_mse)
+                     scalar_cross_entropy, scalar_maxpool2d, scalar_maxpool2d_backward,
+                     scalar_mlp, scalar_mse)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,153 @@ def test_relu_and_pool_input_gradients():
     _, dout = nn.mse_loss(out, y)
     dx = m.backward(dout)
     assert_grads_match(dx, numeric_grad(loss_fn, x), what="input gradient")
+
+
+# ---------------------------------------------------------------------------
+# conv input gradient
+# ---------------------------------------------------------------------------
+
+# (input shape, weight shape, stride): the first two take the kernel-position
+# loop of conv2d_backward (kh*kw <= oh*ow), the meta-learner's wide kernel the
+# output-position loop
+CONV_CASES = [
+    ((2, 2, 6, 7), (3, 2, 2, 3), (1, 1)),
+    ((2, 2, 5, 9), (3, 2, 2, 3), (1, 2)),
+    ((2, 1, 10, 64), (2, 1, 5, 32), (2, 16)),
+]
+
+
+def _conv_case(x_shape, w_shape, stride, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape)
+    dout = rng.normal(size=nn.conv2d_forward(x, w, None, stride).shape)
+    return x, w, dout
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride", CONV_CASES)
+def test_conv_input_gradient_matches_finite_differences(x_shape, w_shape, stride):
+    x, w, dout = _conv_case(x_shape, w_shape, stride)
+    kh, kw = w_shape[2:]
+    oh, ow = dout.shape[2:]
+    assert (kh * kw <= oh * ow) == (stride != (2, 16))   # both dx branches are covered
+    dx, _, _ = nn.conv2d_backward(x, w, dout, stride)
+
+    def loss_fn():   # <conv(x), dout>: its x-gradient is conv2d_backward's dx
+        return float((nn.conv2d_forward(x, w, None, stride) * dout).sum())
+
+    assert_grads_match(dx, numeric_grad(loss_fn, x), what="conv input gradient")
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride", CONV_CASES)
+def test_conv_given_cols_are_bit_identical(x_shape, w_shape, stride):
+    x, w, dout = _conv_case(x_shape, w_shape, stride, seed=1)
+    b = np.random.default_rng(2).normal(size=w_shape[0])
+    cols = nn._im2col(x, *w_shape[2:], *stride)
+    assert np.array_equal(nn.conv2d_forward(x, w, b, stride, cols=cols),
+                          nn.conv2d_forward(x, w, b, stride))
+    for input_grad in (True, False):
+        given = nn.conv2d_backward(x, w, dout, stride, input_grad, cols=cols)
+        built = nn.conv2d_backward(x, w, dout, stride, input_grad)
+        for a, ref in zip(given, built):
+            assert (a is None and ref is None) or np.array_equal(a, ref)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride", CONV_CASES)
+def test_conv_without_input_gradient_keeps_dw_and_db(x_shape, w_shape, stride):
+    x, w, dout = _conv_case(x_shape, w_shape, stride, seed=3)
+    _, dw, db = nn.conv2d_backward(x, w, dout, stride)
+    dx, dw_only, db_only = nn.conv2d_backward(x, w, dout, stride, input_grad=False)
+    assert dx is None
+    assert np.array_equal(dw_only, dw) and np.array_equal(db_only, db)
+
+
+# ---------------------------------------------------------------------------
+# max pooling, bit for bit against the loop oracle
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _check_pool(x, size):
+    out, argmax = nn.maxpool2d_forward(x, size)
+    ref_out, ref_arg = scalar_maxpool2d(x, size)
+    _same_bits(out, ref_out)
+    assert np.array_equal(argmax, ref_arg)
+    dout = np.random.default_rng(1).normal(size=out.shape).astype(x.dtype)
+    _same_bits(nn.maxpool2d_backward(dout, argmax, x.shape, size),
+               scalar_maxpool2d_backward(dout, ref_arg, x.shape, size))
+    return out, argmax
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [(2, 2), (2, 3), (3, 3)])
+def test_maxpool_ties_go_to_the_first_maximum(size, dtype):
+    # three values per window position: most windows hold a tie for the max
+    x = np.random.default_rng(2).integers(0, 3, size=(2, 3, 7, 9)).astype(dtype)
+    _, argmax = _check_pool(x, size)
+    assert argmax.max() > 0   # not every window resolved at its first cell
+
+
+def test_maxpool_signed_zero_tie_keeps_the_first_zero():
+    x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]], [[[0.0, -0.0], [-0.0, -1.0]]]])
+    out, argmax = _check_pool(x, (2, 2))
+    assert np.signbit(out.ravel()).tolist() == [True, False]
+    assert argmax.ravel().tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_nan_in_a_window_gives_nan(dtype):
+    x = np.random.default_rng(3).normal(size=(1, 2, 6, 6)).astype(dtype)
+    x[0, 0, 0, 1] = np.nan                      # window (0,0), position 1
+    x[0, 0, 3, 3] = 1e3                         # window (1,1): a max before the NaN
+    x[0, 0, 3, 2] = np.nan                      # window (1,1), position 2
+    x[0, 1, 5, 4] = np.nan                      # window (2,2), last position
+    x[0, 1, 4, 4] = np.inf
+    out, argmax = _check_pool(x, (2, 2))
+    assert np.isnan(out[0, 0, 0, 0]) and argmax[0, 0, 0, 0] == 1
+    assert np.isnan(out[0, 0, 1, 1]) and argmax[0, 0, 1, 1] == 2
+    assert np.isnan(out[0, 1, 2, 2]) and argmax[0, 1, 2, 2] == 2
+    assert np.isnan(out).sum() == 3
+
+
+def test_maxpool_first_nan_wins_by_payload():
+    payloads = np.array([0x7FC00001, 0x7FC00002, 0x3F800000, 0x7FC00003], dtype=np.uint32)
+    x = payloads.view(np.float32).reshape(1, 1, 2, 2)
+    out, argmax = _check_pool(x, (2, 2))
+    assert out.view(np.uint32).ravel().tolist() == [0x7FC00001]
+    assert argmax.ravel().tolist() == [0]
+
+
+@pytest.mark.parametrize("size", [(2, 2), (2, 3), (3, 3)])
+def test_maxpool_drops_trailing_rows_and_columns(size):
+    ph, pw = size
+    x = np.random.default_rng(4).normal(size=(2, 2, 3 * ph + ph - 1, 2 * pw + pw - 1))
+    x[:, :, 3 * ph:, :] = 1e6                   # trailing rows
+    x[:, :, :, 2 * pw:] = 1e6                   # trailing columns
+    out, argmax = _check_pool(x, size)
+    assert out.shape == (2, 2, 3, 2)
+    assert out.max() < 1e6
+    dx = nn.maxpool2d_backward(np.ones_like(out), argmax, x.shape, size)
+    assert not dx[:, :, 3 * ph:, :].any() and not dx[:, :, :, 2 * pw:].any()
+
+
+@pytest.mark.parametrize("size", [(2, 2), (2, 3), (3, 3)])
+def test_maxpool_backward_routes_each_gradient_to_its_argmax(size):
+    ph, pw = size
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, 2, 2 * ph, 3 * pw))
+    out, argmax = _check_pool(x, size)
+    dout = rng.normal(size=out.shape)
+    dx = nn.maxpool2d_backward(dout, argmax, x.shape, size)
+    assert np.count_nonzero(dx) == dout.size
+    def per_window(a, fill):   # (3, 2, 2, 3) window reductions of a masked array
+        return np.where(dx != 0, a, fill).reshape(3, 2, 2, ph, 3, pw)
+
+    assert np.array_equal(per_window(x, -np.inf).max(axis=(3, 5)), out)   # the max cell
+    assert np.array_equal(per_window(dx, 0.0).sum(axis=(3, 5)), dout)
 
 
 # ---------------------------------------------------------------------------

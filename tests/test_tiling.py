@@ -1,3 +1,6 @@
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,40 @@ def test_tiled_execution_float32_tolerance():
     assert rel.max() < 1e-5
 
 
+def test_random_plans_match_the_engine():
+    """Any factors that divide the micro model tile it to the float64 engine's
+    results, with a clean stream audit and the reported lane counts."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # conv 4 filters over 2 channels, dense 36 -> 6, dense 6 -> 3
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(factors=st.tuples(st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 3, 6]),
+                                        st.sampled_from([1, 3])),
+                      c_f=st.sampled_from([1, 2]),
+                      batch=st.sampled_from([(2, 1), (2, 2), (4, 2), (4, 4), (6, 3), (6, 6)]),
+                      seed=st.integers(0, 2**16))
+    def check(factors, c_f, batch, seed):
+        bs, bs_f = batch
+        m = _micro_model(seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(bs, 2, 8, 8))
+        y = rng.integers(0, 3, size=bs)
+        plan = plan_tiling(request_from_model(m, list(factors), bs=bs, bs_f=bs_f, c_f=c_f))
+        res = execute_plan(plan, m, x, y, loss="cross_entropy", n_classes=3)
+        res.audit.verify()
+        ref_out, ref_loss, ref_grads = _reference(m, x, y)
+        assert np.abs(res.outputs - ref_out).max() < 1e-10
+        assert abs(res.loss - ref_loss) < 1e-10
+        assert [(i, n) for i, n, _ in res.grads] == [(i, n) for i, n, _ in ref_grads]
+        for (i, n, g), (_, _, rg) in zip(res.grads, ref_grads):
+            assert np.abs(g - rg).max() < 1e-10, (i, n)
+        lanes = {lay["index"]: lay["lanes"] for lay in plan_report(plan)["layers"]}
+        assert res.lanes_by_layer == lanes
+
+    check()
+
+
 def test_same_loss_under_batch_tiling():
     m = nn.Model([nn.dense(8), nn.relu(), nn.dense(2)], (5,), seed=21, dtype=np.float64)
     rng = np.random.default_rng(15)
@@ -316,6 +353,57 @@ def test_lane_counts_match_report():
     lanes = {lay["index"]: lay["lanes"] for lay in rep["layers"]}
     for idx, count in res.lanes_by_layer.items():
         assert count == lanes[idx]
+
+
+class _Spy:
+    """Stands in for an ``nn`` function and records each call's arguments."""
+
+    def __init__(self, monkeypatch, name):
+        self.fn = getattr(nn, name)
+        self.signature = inspect.signature(self.fn)
+        self.calls = []
+        monkeypatch.setattr(nn, name, self)
+
+    def __call__(self, *args, **kwargs):
+        bound = self.signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        self.calls.append(bound.arguments)
+        return self.fn(*args, **kwargs)
+
+
+# the tiled benchmark's image edge model under its f4/bs_f4 plan, and an MLP
+# whose first layer is dense
+@pytest.mark.parametrize("specs,input_shape,factors", [
+    ([nn.conv(5, 4), nn.relu(), nn.maxpool(2), nn.conv(5, 4), nn.relu(),
+      nn.flatten(), nn.dense(64), nn.relu(), nn.dense(10)], (1, 28, 28), [4, 4, 4, 2]),
+    ([nn.dense(8), nn.relu(), nn.dense(6), nn.relu(), nn.dense(10)], (12,), [4, 2, 2]),
+])
+def test_execute_plan_skips_unread_work(monkeypatch, specs, input_shape, factors):
+    """No input gradient for layer 0, and one lowering per (lane, conv layer,
+    input tile) per pass."""
+    m = nn.Model(specs, input_shape, seed=3)
+    rng = np.random.default_rng(18)
+    x = rng.random((8,) + input_shape, dtype=np.float32)
+    y = rng.integers(0, 10, size=8)
+    plan = plan_tiling(request_from_model(m, factors, bs=8, bs_f=4, c_f=1))
+    backward = [_Spy(monkeypatch, "conv2d_backward"), _Spy(monkeypatch, "dense_backward")]
+    im2col = _Spy(monkeypatch, "_im2col")
+
+    def lowered_tiles():   # how often each distinct input tile was lowered
+        return Counter((c["x"].__array_interface__["data"][0], c["x"].shape, c["x"].strides)
+                       for c in im2col.calls)
+
+    tiles = sum(plan.bs_f * e.consumed_factor for e in plan.entries if e.kind == "conv")
+    execute_plan(plan, m, x)
+    assert len(im2col.calls) == tiles and set(lowered_tiles().values()) <= {1}
+    im2col.calls.clear()
+    execute_plan(plan, m, x, y, loss="cross_entropy", n_classes=10)
+    assert len(im2col.calls) == 2 * tiles and set(lowered_tiles().values()) <= {2}
+    calls = [c for spy in backward for c in spy.calls]
+    first = [c["input_grad"] for c in calls if np.shares_memory(c["x"], x)]
+    later = [c["input_grad"] for c in calls if not np.shares_memory(c["x"], x)]
+    assert len(first) == plan.bs_f * factors[0] and not any(first)
+    assert later and all(later)
 
 
 def test_plan_label_and_report():
