@@ -4,7 +4,7 @@ Stages are separate subcommands so the edge side and the server side can run
 as different invocations, each persisting versioned artifacts:
 
     edgefuse partition       --config cfg.json
-    edgefuse train-edges     --config cfg.json [--workers 4]
+    edgefuse train-edges     --config cfg.json
     edgefuse train-vaes      --config cfg.json
     edgefuse train-ensemble  --config cfg.json
     edgefuse simulate        --config cfg.json          # any scenario, inline
@@ -22,13 +22,12 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import comms, ensemble, io, nn, tiling
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, read_json
 from .datasets import (EdgeAssignment, bin_regression_targets,
                        load_csv_regression, load_idx_images,
                        make_synthetic_classification, sample_edge_assignment)
@@ -145,7 +144,7 @@ def _edge_path(run: Path, i: int) -> Path:
     return run / "edges" / f"edge_{i:03d}.npz"
 
 
-def stage_train_edges(cfg: ExperimentConfig, force: bool = False, workers: int = 1) -> list:
+def stage_train_edges(cfg: ExperimentConfig, force: bool = False) -> list:
     run = _run_dir(cfg)
     bundle = load_datasets(cfg)
     assignment = load_partition(cfg)
@@ -156,22 +155,13 @@ def stage_train_edges(cfg: ExperimentConfig, force: bool = False, workers: int =
     train_ds = bundle["train"]
     n_classes = bundle["partition_train"].n_classes if cfg.task == "classification" else None
 
-    def build_one(i: int):
+    artifacts = []
+    for i in range(cfg.n_edges):
         econf = random_edge_config(cfg.task, train_ds.inputs.shape[1:], seed=cfg.edge_seed(i),
                                    n_classes=n_classes, epoch_range=cfg.edge_epoch_range,
                                    feature_width=cfg.l_com, lr=cfg.edge_lr,
                                    batch_size=cfg.edge_batch_size)
-        art = train_edge(econf, train_ds, assignment.train_indices[i])
-        return i, art
-
-    artifacts = [None] * cfg.n_edges
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, art in pool.map(build_one, range(cfg.n_edges)):
-                artifacts[i] = art
-    else:
-        for i in range(cfg.n_edges):
-            artifacts[i] = build_one(i)[1]
+        artifacts.append(train_edge(econf, train_ds, assignment.train_indices[i]))
 
     summary = []
     for i, art in enumerate(artifacts):
@@ -292,7 +282,8 @@ def _run_and_write(cfg: ExperimentConfig, force: bool, stored_vaes):
     ens_cfg = _ensemble_config(cfg, bundle["partition_train"].n_classes)
     result = comms.run_scenario(cfg.scenario_config(), edges, bundle["train"], bundle["test"],
                                 assignment, ens_cfg=ens_cfg, vae_epochs=cfg.ep_vae,
-                                policy=cfg.fill_policy, seed=cfg.seed, vaes=vaes)
+                                policy=cfg.fill_policy, seed=cfg.seed, vaes=vaes,
+                                bin_edges=bundle["bin_edges"])
     _write_run_outputs(cfg, result, edges, bundle, result.vaes, force)
     return result
 
@@ -409,12 +400,10 @@ def write_report(rows, out_csv=None, out_json=None, stream=None) -> None:
 # ---------------------------------------------------------------------------
 
 def stage_tile_plan(spec_path, out_path=None) -> str:
-    with open(spec_path) as f:
-        spec = json.load(f)
-    request = tiling.request_from_config(spec)
+    request = tiling.request_from_config(read_json(spec_path))
     plan = tiling.plan_tiling(request)
     if out_path:
-        with open(out_path, "w") as f:
+        with io.atomic_write(out_path) as f:
             json.dump(tiling.plan_report(plan), f, sort_keys=True, indent=2)
     return tiling.plan_report_text(plan)
 
@@ -438,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-edges", help="train every edge model on its subset")
     _add_config_arg(p)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("train-vaes", help="train one imputation VAE per edge")
     _add_config_arg(p)
@@ -478,7 +466,7 @@ def main(argv=None) -> int:
             print(json.dumps({"union_train_coverage": stats["union_train_coverage"],
                               "mean_edge_train_coverage": stats["mean_edge_train_coverage"]}))
         elif args.command == "train-edges":
-            stage_train_edges(cfg, force=args.force, workers=args.workers)
+            stage_train_edges(cfg, force=args.force)
             print(f"trained {cfg.n_edges} edges -> {cfg.output_dir}/edges")
         elif args.command == "train-vaes":
             stage_train_vaes(cfg, force=args.force)

@@ -135,9 +135,13 @@ class ScenarioLedger:
     event_bytes: np.ndarray
     event_seconds: np.ndarray
     m_em_transfer_bytes: np.ndarray     # per edge: largest single transfer
-    m_em_memory_bytes: np.ndarray       # per edge: stored copy of what it sends
     m_server_memory_bytes: int
     link_rate_bps: float
+
+    @property
+    def m_em_memory_bytes(self) -> np.ndarray:
+        """Per edge: the stored copy of what it sends, its largest transfer."""
+        return self.m_em_transfer_bytes
 
     @property
     def cumulative_bytes(self) -> int:
@@ -217,8 +221,8 @@ def account(config: ScenarioConfig, schedule: TransferSchedule, *,
         scenario=schedule.scenario, n_edges=n_edges, comm_count=schedule.comm_count,
         event_round=ev_round, event_edge=ev_edge, event_rows=ev_rows,
         event_bytes=ev_bytes, event_seconds=ev_seconds,
-        m_em_transfer_bytes=m_transfer, m_em_memory_bytes=m_transfer.copy(),
-        m_server_memory_bytes=int(server), link_rate_bps=config.link_rate_bps,
+        m_em_transfer_bytes=m_transfer, m_server_memory_bytes=int(server),
+        link_rate_bps=config.link_rate_bps,
     )
 
 
@@ -254,16 +258,17 @@ class ScenarioRun:
 
 def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
                  train_ds: Dataset, test_ds: Dataset, assignment: EdgeAssignment, *,
-                 ens_cfg: EnsembleConfig, vae_epochs: int = 50, vae_lr: float = 1e-4,
+                 ens_cfg: EnsembleConfig, vae_epochs: int = 50,
                  policy: str = "vae", seed: int = 0,
-                 vaes: Optional[Sequence[Vae]] = None) -> ScenarioRun:
+                 vaes: Optional[Sequence[Vae]] = None, bin_edges=None) -> ScenarioRun:
     """Drive one full scenario with already-trained edges.
 
     S1 trains VAEs up front (or reuses the given ones) and fits the ensemble
     on the stored matrix. S2/S3 stream mini-batches: per round each edge's
     available rows feed one incremental VAE step, missing slots are decoded
     with the current VAE weights, and the ensemble takes ``reuse`` steps on
-    the received batch.
+    the received batch. A regression report's binned accuracy uses
+    ``bin_edges``, the training split's target bins.
     """
     n_total = len(train_ds)
     n_per_edge = [len(ix) for ix in assignment.train_indices]
@@ -279,7 +284,7 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
             vaes = []
             for i in range(len(edges)):
                 emb = values[mask[:, i], i, :]
-                v, _ = train_vae(emb, vae_epochs, derived_seed(seed, "vae", i), lr=vae_lr)
+                v, _ = train_vae(emb, vae_epochs, derived_seed(seed, "vae", i))
                 vaes.append(v)
         vaes = list(vaes) if vaes is not None else []
         matrix = build_ensemble_dataset(edges, vaes, assignment, train_ds,
@@ -289,7 +294,7 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
         vae_trace = np.zeros((0, len(edges)))
     else:
         model, trace, vaes, vae_trace = _fit_streaming(scenario_cfg, edges, train_ds, assignment,
-                                                       ens_cfg, policy, seed, vae_lr)
+                                                       ens_cfg, policy, seed)
 
     test_matrix = build_ensemble_dataset(edges, vaes, assignment, test_ds,
                                          policy=policy, split="test", fill_seed=fill_seed)
@@ -299,14 +304,14 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
         report = evaluate(preds, test_ds.labels, "classification",
                           scores=scores, n_classes=ens_cfg.n_outputs)
     else:
-        report = evaluate(preds, test_ds.labels, "regression")
+        report = evaluate(preds, test_ds.labels, "regression", bin_edges=bin_edges)
     return ScenarioRun(model=model, ledger=ledger, report=report, vaes=list(vaes),
                        train_trace=trace, vae_trace=vae_trace, predictions=preds,
                        config=scenario_cfg)
 
 
 def _fit_streaming(scenario_cfg: ScenarioConfig, edges, train_ds, assignment,
-                   ens_cfg: EnsembleConfig, policy: str, seed, vae_lr: float):
+                   ens_cfg: EnsembleConfig, policy: str, seed):
     """S2/S3: per received batch, one stacked VAE step and one decode of the
     missing slots for all edges, then the ensemble steps. Returns (model,
     ensemble loss trace, per-edge VAEs, (rounds, N) VAE loss trace)."""
@@ -317,7 +322,7 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, edges, train_ds, assignment,
     n_edges = len(edges)
     fill_seed = derived_seed(seed, "fill")
 
-    vaes = Vae(width, seed=[derived_seed(seed, "vae", i) for i in range(n_edges)], lr=vae_lr)
+    vaes = Vae(width, seed=[derived_seed(seed, "vae", i) for i in range(n_edges)])
     vae_rngs = [rng_from(seed, "vae-train", i) for i in range(n_edges)]
     edge_ix = np.arange(n_edges)[:, None]
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .comms import ScenarioConfig
 from .datasets import PartitionSpec
+from .io import atomic_write
 from .seeding import derived_seed
 from .vae import FILL_POLICIES
 
@@ -37,6 +38,12 @@ _TOP_KEYS = {
 
 class ConfigError(ValueError):
     pass
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
@@ -130,16 +137,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        _check_keys(d, _TOP_KEYS, "config")
+        _check_keys(_object(d, "config"), _TOP_KEYS, "config")
         for key in ("dataset", "task", "n_edges", "alpha", "delta", "seed", "output_dir"):
             if key not in d:
                 raise ConfigError(f"missing required config key {key!r}")
-        ds = d["dataset"]
+        ds = _object(d["dataset"], "dataset")
         kind = ds.get("kind")
         if kind not in _DATASET_KEYS:
             raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}")
         _check_keys(ds, _DATASET_KEYS[kind], f"dataset[{kind}]")
-        sc = d.get("scenario", {})
+        sc = _object(d.get("scenario", {}), "scenario")
         _check_keys(sc, _SCENARIO_KEYS, "scenario")
         rng_range = d.get("edge_epoch_range", [30, 30])
         return ExperimentConfig(
@@ -167,12 +174,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        with open(path) as f:
-            try:
-                data = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        return ExperimentConfig.from_dict(data)
+        return ExperimentConfig.from_dict(read_json(path))
 
     def canonical_json(self) -> str:
         d = self.to_dict()
@@ -184,6 +186,18 @@ class ExperimentConfig:
 
     def write(self, path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             json.dump(self.to_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
+
+
+def read_json(path):
+    """The JSON document in ``path``; a ConfigError names the path if the
+    file cannot be read or parsed."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc

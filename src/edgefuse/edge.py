@@ -19,6 +19,7 @@ from .seeding import derived_seed, rng_from
 
 CONV_FILTER_CHOICES = (1, 2, 4)
 DEFAULT_EPOCH_RANGE = (10, 49)
+FORWARD_CHUNK = 512                # rows per inference forward pass
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class EdgeModelConfig:
     n_classes: Optional[int] = None
     lr: float = 1e-4
     batch_size: int = 32
-    f_e: Optional[int] = None
 
     def __post_init__(self):
         tap = embedding_tap_index(self.specs, self.feature_width)
@@ -53,6 +53,11 @@ class EdgeModelConfig:
     @property
     def loss(self) -> str:
         return "cross_entropy" if self.task == "classification" else "mse"
+
+    @property
+    def f_e(self) -> Optional[int]:
+        """Filters of the first conv layer; None for a dense-only model."""
+        return next((s.filters for s in self.specs if s.kind == "conv"), None)
 
 
 def embedding_tap_index(specs: Sequence, feature_width: int) -> Optional[int]:
@@ -105,8 +110,7 @@ def random_edge_config(task: str, input_shape, seed, *, n_classes: Optional[int]
 
     return EdgeModelConfig(task=task, specs=tuple(specs), input_shape=tuple(input_shape),
                            epochs=epochs, feature_width=feature_width, seed=int(seed),
-                           n_classes=n_classes, lr=lr, batch_size=batch_size,
-                           f_e=f_e if len(input_shape) == 3 else None)
+                           n_classes=n_classes, lr=lr, batch_size=batch_size)
 
 
 @dataclass
@@ -157,13 +161,12 @@ def train_edge(config: EdgeModelConfig, dataset: Dataset, train_indices) -> Edge
     return art
 
 
-def batched_forward(model: nn.Model, x: np.ndarray, tap: Optional[int] = None,
-                    batch: int = 512):
-    """``model`` on ``x`` in chunks of ``batch`` rows; with ``tap``, also that
-    layer's activations."""
+def batched_forward(model: nn.Model, x: np.ndarray, tap: Optional[int] = None):
+    """``model`` on ``x`` in chunks of ``FORWARD_CHUNK`` rows; with ``tap``,
+    also that layer's activations."""
     outs, taps = [], []
-    for start in range(0, len(x), batch):
-        chunk = x[start:start + batch]
+    for start in range(0, len(x), FORWARD_CHUNK):
+        chunk = x[start:start + FORWARD_CHUNK]
         if tap is None:
             outs.append(model.forward(chunk))
         else:

@@ -54,23 +54,17 @@ class EnsembleConfig:
     n_outputs: int                      # classes, or 1 for regression
     n_filters: int = 64
     hidden: int = 64
-    kernel: Optional[tuple] = None      # default (N//2, width//2)
-    stride: Optional[tuple] = None      # default half kernel, floored to >= 1
     epochs: int = 100
     lr: float = 1e-4
     batch_size: int = 128
     seed: int = 0
 
     def resolved_kernel(self) -> tuple[int, int]:
-        if self.kernel is not None:
-            return tuple(self.kernel)
         if self.n_edges % 2 or self.feature_width % 2:
             warnings.warn("odd N or feature width: ensemble kernel floored to (N//2, width//2)")
         return (max(1, self.n_edges // 2), max(1, self.feature_width // 2))
 
     def resolved_stride(self) -> tuple[int, int]:
-        if self.stride is not None:
-            return tuple(self.stride)
         kh, kw = self.resolved_kernel()
         return (max(1, kh // 2), max(1, kw // 2))
 
@@ -149,8 +143,8 @@ def train_ensemble(matrix: EmbeddingMatrix, labels, config: EnsembleConfig):
     return model, trace
 
 
-def ensemble_logits(model: nn.Model, matrix: EmbeddingMatrix, batch: int = 512) -> np.ndarray:
-    return batched_forward(model, _as_conv_input(matrix.values), batch=batch)
+def ensemble_logits(model: nn.Model, matrix: EmbeddingMatrix) -> np.ndarray:
+    return batched_forward(model, _as_conv_input(matrix.values))
 
 
 def predict(model: nn.Model, matrix: EmbeddingMatrix, task: str = "classification") -> np.ndarray:

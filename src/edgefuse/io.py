@@ -120,7 +120,6 @@ def load_edge_artifact(path, config_hash: Optional[str] = None) -> EdgeArtifact:
         n_classes=meta["n_classes"],
         lr=meta["lr"],
         batch_size=meta["batch_size"],
-        f_e=meta.get("f_e"),
     )
     model = build_edge_model(cfg)
     model.set_parameters(arrays)

@@ -184,9 +184,9 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, stride=(1, 1
     """Gradients of a valid-padding conv; returns (dx, dw, db), dx None
     unless ``input_grad``. ``cols`` is as for ``conv2d_forward``.
 
-    The dx scatter loops over whichever is smaller, kernel positions or
-    output positions: small-kernel/large-map convs take the first path,
-    the wide-kernel ensemble conv takes the second.
+    dx is scattered in one loop over kernel positions (i, j): each adds
+    ``dout`` times that position's weights to the strided input window it
+    touched.
     """
     bsz, c, h, wid = x.shape
     f, _, kh, kw = w.shape
@@ -200,17 +200,11 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, stride=(1, 1
     if not input_grad:
         return None, dw, db
     dx = np.zeros_like(x)
-    if kh * kw <= oh * ow:
-        for i in range(kh):
-            for j in range(kw):
-                # positions (p,q) of dout touch x[:, :, p*sh+i, q*sw+j]
-                contrib = np.tensordot(dout, w[:, :, i, j], axes=([1], [0]))  # (B,OH,OW,C)
-                dx[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += contrib.transpose(0, 3, 1, 2)
-    else:
-        dcols = (dmat @ w.reshape(f, -1)).reshape(bsz, oh, ow, c, kh, kw)
-        for p in range(oh):
-            for q in range(ow):
-                dx[:, :, p * sh:p * sh + kh, q * sw:q * sw + kw] += dcols[:, p, q]
+    for i in range(kh):
+        for j in range(kw):
+            # positions (p,q) of dout touch x[:, :, p*sh+i, q*sw+j]
+            contrib = (dmat @ w[:, :, i, j]).reshape(bsz, oh, ow, c)
+            dx[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += contrib.transpose(0, 3, 1, 2)
     return dx, dw, db
 
 

@@ -27,13 +27,8 @@ FILL_POLICIES = ("vae", "zero", "mean", "max")
 
 
 def _kl_terms(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
+    """Per-dimension closed-form KL( N(mu, diag sigma^2) || N(0, I) )."""
     return 0.5 * (mu * mu + np.exp(logvar) - 1.0 - logvar)
-
-
-def kl_standard_normal(mu: np.ndarray, logvar: np.ndarray) -> float:
-    """Closed-form KL( N(mu, diag sigma^2) || N(0, I) ), summed over dims and
-    averaged over rows."""
-    return float(_kl_terms(mu, logvar).sum(axis=-1).mean())
 
 
 class Vae(nn.Module):
@@ -157,14 +152,6 @@ class Vae(nn.Module):
             self.optimizer.step(self, None if counts is None else active)
         self.steps_run += active
         return total if counts is None else np.where(active, total, np.nan)
-
-    def generate(self, count: int, seed) -> np.ndarray:
-        """Decode ``count`` latents drawn from N(0, I); deterministic per seed."""
-        if count == 0:
-            return np.zeros((0, self.feature_width), dtype=self.dtype)
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((count, self.latent_dim))
-        return self.decode(z)
 
 
 def train_vae(embeddings: np.ndarray, epochs: int, seed, *, lr: float = 1e-4,

@@ -75,6 +75,30 @@ def test_count_formula_matches_stream_enumeration():
         assert np.all(visits == passes)
 
 
+def test_schedule_equals_the_stream_for_any_stream():
+    """S2 and S3: plan_schedule's comm_count and round_rows are the batches
+    sample_stream yields, for any sample count, batch size, passes and seed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(n=st.integers(0, 300), b=st.integers(1, 70), ep_ens=st.integers(1, 12),
+                      s2_divisor=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def check(n, b, ep_ens, s2_divisor, seed):
+        if ep_ens % s2_divisor == 0:
+            cfg = ScenarioConfig("S2", ep_ens=ep_ens, ep_ens_d=s2_divisor, batch_size=b)
+        else:
+            cfg = ScenarioConfig("S3", ep_ens=ep_ens, batch_size=b)
+        sched = plan_schedule(cfg, [0, 0], n)
+        batches = list(sample_stream(n, cfg.passes, b, np.random.default_rng(seed)))
+        assert sched.comm_count == len(batches) == math.ceil(n * cfg.passes / b)
+        assert list(sched.round_rows) == [len(x) for x in batches]
+        assert np.array_equal(np.bincount(np.concatenate(batches or [np.zeros(0, int)]),
+                                          minlength=n), np.full(n, cfg.passes))
+
+    check()
+
+
 def test_s3_visit_counts_equal_s1():
     # one pass per epoch in S3 gives the same per-sample visit counts as
     # epoch-based training: ep_ens visits each

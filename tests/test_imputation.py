@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgefuse.vae import (Vae, fill, kl_standard_normal, missing_slot_latents,
+from edgefuse.vae import (FILL_POLICIES, Vae, _kl_terms, fill, missing_slot_latents,
                           slot_latent, train_vae)
 
 from helpers import max_rel_err, numeric_grad
@@ -22,16 +22,16 @@ def test_constant_rows_drive_reconstruction_to_zero():
 
 
 def test_kl_zero_iff_standard_normal():
-    assert kl_standard_normal(np.zeros((3, 32)), np.zeros((3, 32))) == 0.0
-    assert kl_standard_normal(np.full((1, 4), 0.5), np.zeros((1, 4))) > 0.0
-    assert kl_standard_normal(np.zeros((1, 4)), np.full((1, 4), 0.3)) > 0.0
+    assert _kl_terms(np.zeros((3, 32)), np.zeros((3, 32))).sum(-1).mean() == 0.0
+    assert _kl_terms(np.full((1, 4), 0.5), np.zeros((1, 4))).sum(-1).mean() > 0.0
+    assert _kl_terms(np.zeros((1, 4)), np.full((1, 4), 0.3)).sum(-1).mean() > 0.0
 
 
 def test_kl_closed_form_matches_monte_carlo():
     rng = np.random.default_rng(0)
     mu = rng.normal(size=(1, 4))
     logvar = rng.normal(scale=0.5, size=(1, 4))
-    closed = kl_standard_normal(mu, logvar)
+    closed = _kl_terms(mu, logvar).sum(-1).mean()
     sigma = np.exp(0.5 * logvar)
     x = rng.normal(size=(1_000_000, 4)) * sigma + mu
     logp = (-0.5 * ((x - mu) / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(2 * np.pi)).sum(axis=1)
@@ -77,29 +77,15 @@ def test_train_vae_rejects_empty_or_misshapen():
 # generation
 # ---------------------------------------------------------------------------
 
-def test_generate_zero_count_keeps_width():
-    vae = Vae(16, seed=0)
-    out = vae.generate(0, seed=1)
-    assert out.shape == (0, 16)
-
-
-def test_generate_deterministic_per_seed():
-    vae = Vae(8, seed=2)
-    a = vae.generate(10, seed=42)
-    b = vae.generate(10, seed=42)
-    c = vae.generate(10, seed=43)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
 def test_generated_mean_matches_training_statistics():
-    # Gaussian toy corpus: the generator's sample mean should sit within
-    # 3 sigma / sqrt(n) of the corpus mean per coordinate
+    # Gaussian toy corpus: decoded standard-normal latents (the draw ``fill``
+    # decodes) should average within 3 sigma / sqrt(n) of the corpus mean
+    # per coordinate
     rng = np.random.default_rng(100)
     corpus_mean = rng.normal(size=8)
     corpus = (corpus_mean + 0.05 * rng.normal(size=(256, 8))).astype(np.float32)
     vae, _ = train_vae(corpus, epochs=4000, seed=0, lr=3e-3, batch_size=256)
-    gen = vae.generate(500, seed=50)
+    gen = vae.decode(np.random.default_rng(50).standard_normal((500, vae.latent_dim)))
     diff = np.abs(gen.mean(axis=0) - corpus.mean(axis=0))
     bound = 3.0 * corpus.std(axis=0) / np.sqrt(len(gen))
     assert np.all(diff <= bound), f"worst excess {(diff - bound).max():.5f}"
@@ -167,6 +153,32 @@ def test_fill_never_mutates_available_slots():
         assert out is not values
 
 
+def test_fill_never_changes_a_received_slot():
+    """Any shape, mask and policy: every received slot comes back bit for bit,
+    and the input is not written to."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(policy=st.sampled_from(FILL_POLICIES), n=st.integers(1, 7),
+                      n_edges=st.integers(1, 4), width=st.integers(1, 5),
+                      p_received=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def check(policy, n, n_edges, width, p_received, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, n_edges, width)).astype(np.float32)
+        mask = rng.random((n, n_edges)) < p_received
+        if policy in ("mean", "max"):
+            mask[rng.integers(0, n, n_edges), np.arange(n_edges)] = True   # one per edge
+        before = values.copy()
+        vaes = [Vae(width, seed=seed + i) for i in range(n_edges)] if policy == "vae" else None
+        out = fill(policy, values, mask, vaes=vaes, seed=seed)
+        assert out.shape == values.shape and out.dtype == values.dtype
+        assert out[mask].tobytes() == before[mask].tobytes()
+        assert values.tobytes() == before.tobytes()
+
+    check()
+
+
 def test_vae_policy_uses_matching_edge_model():
     values, mask = _matrix(n=4)
     mask[1, 0] = False
@@ -209,12 +221,6 @@ def test_slot_latents_independent_of_other_slots():
     rows_b, lat_b = zb[1]
     assert np.array_equal(rows_a, rows_b)
     assert np.array_equal(lat_a, lat_b)
-
-
-def test_generated_fill_width_for_any_count():
-    vae = Vae(12, seed=4)
-    for count in (0, 1, 5):
-        assert vae.generate(count, seed=0).shape == (count, 12)
 
 
 # ---------------------------------------------------------------------------

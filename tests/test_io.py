@@ -1,9 +1,11 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from edgefuse import cli, comms, io, nn
+from edgefuse.config import ExperimentConfig
 from edgefuse.datasets import make_synthetic_classification
 from edgefuse.edge import random_edge_config, train_edge
 from edgefuse.ensemble import EnsembleConfig, make_ensemble_model
@@ -112,12 +114,30 @@ _BAD_LEDGER = SimpleNamespace(to_summary=lambda: {"comm_count": 1, "total": obje
                               event_bytes=[12, 12], event_seconds=[0.5, "not a number"])
 
 
+def _config_json_fails_midway(path):
+    cfg = ExperimentConfig.from_dict({
+        "dataset": {"kind": "synthetic", "n_train": 10, "n_test": 5, "classes": 2, "dims": 2},
+        "task": "classification", "n_edges": 2, "alpha": 0.5, "delta": 0.2, "seed": 0,
+        "output_dir": "run"})
+    cfg.dataset["n_test"] = object()        # "alpha" is written before "dataset"
+    cfg.write(path)
+
+
+def _tile_plan_out_fails_midway(path):
+    spec = {"bs": 2, "input": {"features": 4}, "layers": [{"kind": "fcl", "l2": 2}]}
+    with mock.patch.object(cli, "read_json", lambda p: spec), \
+            mock.patch.object(cli.tiling, "plan_report", lambda plan: {"a": 1, "b": object()}):
+        cli.stage_tile_plan("layers.json", out_path=path)
+
+
 @pytest.mark.parametrize("writer", [
     _fail_midway,
     lambda path: comms.ScenarioLedger.write_summary(_BAD_LEDGER, path),
     lambda path: comms.ScenarioLedger.write_events_csv(_BAD_LEDGER, path),
     lambda path: cli.write_report([{"accuracy": object()}], out_json=path),
-], ids=["helper", "ledger.json", "ledger.csv", "report json"])
+    _config_json_fails_midway,
+    _tile_plan_out_fails_midway,
+], ids=["helper", "ledger.json", "ledger.csv", "report json", "config.json", "tile-plan out"])
 @pytest.mark.parametrize("old", ["old content\n", None], ids=["old file", "no file"])
 def test_failed_write_keeps_the_old_file(tmp_path, writer, old):
     path = tmp_path / "out"
