@@ -58,6 +58,11 @@ class ScenarioConfig:
             raise ValueError("ep_ens must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (self.link_rate_bps > 0 and math.isfinite(self.link_rate_bps)):
+            raise ValueError(f"link_rate_bps must be positive and finite, got {self.link_rate_bps}")
+        if not (self.per_message_overhead_s >= 0 and math.isfinite(self.per_message_overhead_s)):
+            raise ValueError("per_message_overhead_s must be >= 0 and finite, "
+                             f"got {self.per_message_overhead_s}")
         if self.scenario == "S2":
             d = self.ep_ens_d
             if d is None or d < 1 or self.ep_ens % d != 0:

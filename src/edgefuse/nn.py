@@ -153,7 +153,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
 
 def conv2d_out_hw(h: int, w: int, kh: int, kw: int, sh: int, sw: int) -> tuple[int, int]:
     if kh > h or kw > w:
-        raise ShapeMismatchError(f"conv kernel ({kh},{kw}) larger than input ({h},{w})")
+        raise ShapeMismatchError(f"window ({kh},{kw}) larger than input ({h},{w})")
     return (h - kh) // sh + 1, (w - kw) // sw + 1
 
 
@@ -386,7 +386,7 @@ class MaxPool2D(Layer):
         c, h, w = in_shape
         self.size = size
         self.in_shape = tuple(in_shape)
-        self.out_shape = (c, h // size[0], w // size[1])
+        self.out_shape = (c, *conv2d_out_hw(h, w, *size, *size))
         self._argmax = None
         self._x_shape = None
 
@@ -505,23 +505,23 @@ class Model(Module):
         rng = np.random.default_rng(seed)
         self.layers: list[Layer] = []
         cur = self.input_shape
-        for spec in self.specs:
+        for i, spec in enumerate(self.specs):
+            if spec.kind in ("conv", "maxpool") and len(cur) != 3:
+                raise ShapeMismatchError(f"layer {i}: {spec.kind} needs (C,H,W) input, has {cur}")
+            if spec.kind == "dense" and len(cur) != 1:
+                raise ShapeMismatchError(f"layer {i}: dense needs flat input (flatten?), has {cur}")
             if spec.kind == "conv":
-                if len(cur) != 3:
-                    raise ShapeMismatchError(f"conv needs (C,H,W) input, has {cur}")
                 layer = Conv2D(cur, spec.filters, spec.kernel, spec.stride, rng, self.dtype)
             elif spec.kind == "maxpool":
                 layer = MaxPool2D(cur, spec.kernel or (2, 2))
             elif spec.kind == "dense":
-                if len(cur) != 1:
-                    raise ShapeMismatchError(f"dense needs flat input, has {cur} (missing flatten?)")
                 layer = Dense(cur[0], spec.units, rng, self.dtype)
             elif spec.kind == "flatten":
                 layer = Flatten(cur)
             elif spec.kind == "relu":
                 layer = ReLU(cur)
             else:
-                raise ValueError(f"unknown layer kind: {spec.kind!r}")
+                raise ValueError(f"layer {i}: unknown layer kind {spec.kind!r}")
             self.layers.append(layer)
             cur = layer.out_shape
         self.output_shape = cur

@@ -1,11 +1,12 @@
 """Tiling planner and tiled executor.
 
-``plan_tiling`` propagates manual tiling factors through a layer chain and
-emits, per layer, the factored dimensions of weights and outputs for the
-forward pass and of the incoming loss and weight gradients for the backward
-pass. The first layer consumes the input-channel factor ``c_f``; every later
-layer consumes the factor produced by the previous tileable layer, and the
-mini-batch dimension is split as BS = BS_f * BS_p throughout.
+``plan_tiling`` propagates manual tiling factors through the conv and dense
+layers of an ``nn.Model``, reading every size from the model's weight and
+output shapes, and emits, per layer, the factored dimensions of weights and
+outputs for the forward pass and of the incoming loss and weight gradients
+for the backward pass. The first such layer consumes the input-channel factor
+``c_f``; every later one consumes the factor produced by the one before, and
+the mini-batch dimension is split as BS = BS_f * BS_p throughout.
 
 ``tiled_matmul`` / ``tiled_conv2d`` compute a product in ``f`` independent
 partial products over the shared dimension and then aggregate them in a
@@ -40,11 +41,9 @@ import numpy as np
 
 from . import nn
 
-TILEABLE = ("conv", "fcl")
-
 
 class FactorError(ValueError):
-    """A manual factor does not divide its target dimension."""
+    """A manual factor does not divide its target dimension, or a spec is malformed."""
 
 
 @dataclass(frozen=True)
@@ -66,48 +65,24 @@ class FactoredShape:
         return {"outer": list(self.outer), "inner": list(self.inner), "rest": list(self.rest)}
 
 
-@dataclass(frozen=True)
-class ConvLayer:
-    filters: int
-    channels: int
-    kh: int
-    kw: int
-    out_h: int
-    out_w: int
-    factor: int = 1
-    stride: tuple = (1, 1)
-    kind: str = "conv"
-
-
-@dataclass(frozen=True)
-class FclLayer:
-    l1: int
-    l2: int
-    factor: int = 1
-    kind: str = "fcl"
-
-
-@dataclass(frozen=True)
-class PassLayer:
-    """Pooling / flatten / activation: no weights, carries the factor through."""
-
-    kind: str = "pass"
-
-
 @dataclass
 class TilingRequest:
-    layers: list
+    """A model and one output factor per conv/dense layer of it, in order."""
+
+    model: nn.Model
+    factors: tuple
     bs: int
     bs_f: int
-    bs_p: int
     c_f: int
 
     def __post_init__(self):
-        if self.bs_f * self.bs_p != self.bs:
-            raise FactorError(f"BS must factor exactly: {self.bs_f} * {self.bs_p} != {self.bs}")
-        for v in (self.bs, self.bs_f, self.bs_p, self.c_f):
-            if v < 1:
-                raise FactorError("factors must be >= 1")
+        if min(self.bs, self.bs_f, self.c_f) < 1:
+            raise FactorError("bs, bs_f and c_f must be >= 1")
+        if self.bs % self.bs_f != 0:
+            raise FactorError(f"BS must factor exactly: bs_f {self.bs_f} does not divide {self.bs}")
+        tileable = sum(spec.kind in KERNELS for spec in self.model.specs)
+        if len(self.factors) != tileable:
+            raise FactorError(f"{len(self.factors)} factors for {tileable} conv/dense layers")
 
 
 @dataclass
@@ -142,129 +117,111 @@ class TilingPlan:
     entries: list
     bs: int
     bs_f: int
-    bs_p: int
     c_f: int
-    factors_by_index: dict      # request layer index -> (consumed, produced)
-
-    def to_dict(self) -> dict:
-        return {"bs": self.bs, "bs_f": self.bs_f, "bs_p": self.bs_p, "c_f": self.c_f,
-                "layers": [e.to_dict() for e in self.entries]}
 
 
 def _check_divides(f: int, dim: int, index: int, kind: str, dim_name: str) -> None:
-    if dim % f != 0:
+    if f < 1 or dim % f != 0:
         raise FactorError(f"layer {index} ({kind}): factor {f} does not divide {dim_name}={dim}")
 
 
 def plan_tiling(request: TilingRequest) -> TilingPlan:
-    """Propagate manual factors through the chain and emit factored shapes."""
+    """Propagate manual factors through the model's conv/dense layers and
+    emit factored shapes; dense layers are reported as ``fcl``."""
     entries = []
-    factors_by_index = {}
     carried = request.c_f
-    for index, layer in enumerate(request.layers):
-        if layer.kind not in TILEABLE:
+    bs_p = request.bs // request.bs_f
+    factors = iter(request.factors)
+    for index, (spec, layer) in enumerate(zip(request.model.specs, request.model.layers)):
+        if spec.kind not in KERNELS:
             continue
-        f, g = layer.factor, carried
-        if layer.kind == "conv":
-            _check_divides(f, layer.filters, index, "conv", "filters")
-            _check_divides(g, layer.channels, index, "conv", "channels")
-            w = FactoredShape(outer=(f, g),
-                              inner=(layer.filters // f, layer.channels // g),
-                              rest=(layer.kw, layer.kh))
-            o_inner, o_rest = layer.filters // f, (layer.out_w, layer.out_h)
+        f, g = next(factors), carried
+        kind = "conv" if spec.kind == "conv" else "fcl"
+        if kind == "conv":
+            filters, channels, kh, kw = layer.params["w"].shape
+            _check_divides(f, filters, index, kind, "filters")
+            _check_divides(g, channels, index, kind, "channels")
+            w = FactoredShape(outer=(f, g), inner=(filters // f, channels // g), rest=(kw, kh))
         else:
-            _check_divides(f, layer.l2, index, "fcl", "l2")
-            _check_divides(g, layer.l1, index, "fcl", "l1")
-            w = FactoredShape(outer=(g, f), inner=(layer.l1 // g, layer.l2 // f))
-            o_inner, o_rest = layer.l2 // f, ()
-        o = FactoredShape(outer=(request.bs_f, f), inner=(request.bs_p, o_inner), rest=o_rest)
-        entries.append(LayerPlan(index=index, kind=layer.kind, consumed_factor=g,
+            _check_divides(f, layer.out_dim, index, kind, "l2")
+            _check_divides(g, layer.in_dim, index, kind, "l1")
+            w = FactoredShape(outer=(g, f), inner=(layer.in_dim // g, layer.out_dim // f))
+        width, *spatial = layer.out_shape
+        o = FactoredShape(outer=(request.bs_f, f), inner=(bs_p, width // f),
+                          rest=tuple(reversed(spatial)))
+        entries.append(LayerPlan(index=index, kind=kind, consumed_factor=g,
                                  produced_factor=f, weight_fwd=w, output_fwd=o))
-        factors_by_index[index] = (g, f)
         carried = f
-    return TilingPlan(entries=entries, bs=request.bs, bs_f=request.bs_f,
-                      bs_p=request.bs_p, c_f=request.c_f,
-                      factors_by_index=factors_by_index)
+    return TilingPlan(entries=entries, bs=request.bs, bs_f=request.bs_f, c_f=request.c_f)
 
 
 def request_from_model(model: nn.Model, factors: Sequence[int], *, bs: int,
                        bs_f: int = 1, c_f: int = 1) -> TilingRequest:
-    """Build a request from a materialized model; ``factors`` aligns with the
-    model's conv/dense layers in order."""
-    factors = list(factors)
-    layers = []
-    it = iter(factors)
-    for spec, layer in zip(model.specs, model.layers):
-        if spec.kind == "conv":
-            c, _, _ = layer.in_shape
-            f_out, oh, ow = layer.out_shape
-            kh, kw = spec.kernel
-            layers.append(ConvLayer(filters=f_out, channels=c, kh=kh, kw=kw,
-                                    out_h=oh, out_w=ow, factor=next(it),
-                                    stride=layer.stride))
-        elif spec.kind == "dense":
-            layers.append(FclLayer(l1=layer.in_dim, l2=layer.out_dim, factor=next(it)))
-        else:
-            layers.append(PassLayer(kind=spec.kind))
-    leftover = list(it)
-    if leftover:
-        raise FactorError(f"{len(leftover)} extra factors for {len(layers)} layers")
-    if bs % bs_f != 0:
-        raise FactorError(f"bs_f {bs_f} does not divide batch {bs}")
-    return TilingRequest(layers=layers, bs=bs, bs_f=bs_f, bs_p=bs // bs_f, c_f=c_f)
+    """A request for ``model``; ``factors`` aligns with its conv/dense layers in order."""
+    return TilingRequest(model=model, factors=tuple(factors), bs=bs, bs_f=bs_f, c_f=c_f)
 
 
-def request_from_config(cfg: dict) -> TilingRequest:
-    """Build a request from a plain dict (the CLI's layer-spec file format).
+def _spec_json(value, where: str, kind=dict):
+    if not isinstance(value, kind):
+        raise FactorError(f"{where} must be a JSON {'object' if kind is dict else 'list'}, "
+                          f"got {type(value).__name__}")
+    return value
 
-    Convolution chains need an ``input`` block with channels/height/width so
-    output spatial dims and flattened widths can be chained; dense-only
-    chains just need ``input.features``.
+
+def _spec_int(d: dict, key: str, where: str, default=None, n=1):
+    """``d[key]`` (``default`` if absent) as a positive int, or a tuple of
+    ``n`` > 1 of them; a FactorError names ``where`` and the key otherwise."""
+    value = d.get(key, default)
+    try:
+        ints = tuple(int(v) for v in (value if n > 1 else [value]))
+    except (TypeError, ValueError):
+        ints = ()
+    if len(ints) != n or min(ints) < 1:
+        raise FactorError(f"{where}: missing {key!r}" if value is None else
+                          f"{where}: {key!r} must be {n} positive integer(s), got {value!r}")
+    return ints if n > 1 else ints[0]
+
+
+def request_from_config(cfg) -> TilingRequest:
+    """Build a request from a layer-spec document (the CLI's ``--spec`` file):
+    its layers become an ``nn.Model`` (seed 0), which works out every shape.
+
+    Keys: ``bs``; optional ``bs_f`` (default 1), ``bs_p`` (must be bs / bs_f)
+    and ``c_f`` (default 1); ``input``, with ``channels``, ``height`` and
+    ``width``, or ``features``; ``layers``, a list of objects whose ``kind`` is
+    ``conv`` (``filters``, ``kernel`` [h, w], optional ``stride`` [h, w]),
+    ``fcl`` or ``dense`` (``l2`` or ``units``), ``maxpool`` (optional ``size``
+    [h, w], default [2, 2]), ``flatten`` or ``relu``. Conv and fcl layers take
+    an optional ``factor`` (default 1).
     """
-    inp = cfg.get("input", {})
-    if "channels" in inp:
-        cur = (int(inp["channels"]), int(inp["height"]), int(inp["width"]))
-    elif "features" in inp:
-        cur = (int(inp["features"]),)
-    else:
-        raise FactorError("spec needs input.channels/height/width or input.features")
-    layers = []
-    for pos, lay in enumerate(cfg.get("layers", [])):
-        kind = lay.get("kind")
+    cfg = _spec_json(cfg, "spec")
+    inp = _spec_json(cfg.get("input", {}), "input")
+    keys = ("channels", "height", "width") if "channels" in inp else ("features",)
+    shape = tuple(_spec_int(inp, k, "input") for k in keys)
+    specs, factors = [], []
+    for pos, lay in enumerate(_spec_json(cfg.get("layers", []), "layers", list)):
+        kind = _spec_json(lay, f"layer {pos}").get("kind")
+        where = f"layer {pos} ({kind})"
         if kind == "conv":
-            if len(cur) != 3:
-                raise FactorError(f"layer {pos}: conv needs a (C,H,W) input")
-            kh, kw = lay["kernel"]
-            sh, sw = lay.get("stride", (1, 1))
-            c, h, w = cur
-            oh, ow = nn.conv2d_out_hw(h, w, kh, kw, sh, sw)
-            layers.append(ConvLayer(filters=int(lay["filters"]), channels=c, kh=kh, kw=kw,
-                                    out_h=oh, out_w=ow, factor=int(lay.get("factor", 1)),
-                                    stride=(sh, sw)))
-            cur = (int(lay["filters"]), oh, ow)
+            specs.append(nn.conv(_spec_int(lay, "kernel", where, n=2),
+                                 _spec_int(lay, "filters", where),
+                                 _spec_int(lay, "stride", where, (1, 1), n=2)))
         elif kind in ("fcl", "dense"):
-            if len(cur) != 1:
-                raise FactorError(f"layer {pos}: fcl needs a flat input (add flatten)")
-            l2 = int(lay.get("l2", lay.get("units", 0)))
-            layers.append(FclLayer(l1=cur[0], l2=l2, factor=int(lay.get("factor", 1))))
-            cur = (l2,)
+            specs.append(nn.dense(_spec_int(lay, "units" if "units" in lay else "l2", where)))
         elif kind == "maxpool":
-            ph, pw = lay.get("size", (2, 2))
-            c, h, w = cur
-            cur = (c, h // ph, w // pw)
-            layers.append(PassLayer(kind="maxpool"))
-        elif kind == "flatten":
-            layers.append(PassLayer(kind="flatten"))
-            cur = (int(np.prod(cur)),)
-        elif kind == "relu":
-            layers.append(PassLayer(kind="relu"))
+            specs.append(nn.maxpool(_spec_int(lay, "size", where, (2, 2), n=2)))
+        elif kind in ("flatten", "relu"):
+            specs.append(nn.LayerSpec(kind))
         else:
             raise FactorError(f"layer {pos}: unknown kind {kind!r}")
-    bs = int(cfg["bs"])
-    bs_f = int(cfg.get("bs_f", 1))
-    bs_p = int(cfg.get("bs_p", bs // bs_f))
-    return TilingRequest(layers=layers, bs=bs, bs_f=bs_f, bs_p=bs_p,
-                         c_f=int(cfg.get("c_f", 1)))
+        if kind in ("conv", "fcl", "dense"):
+            factors.append(_spec_int(lay, "factor", where, 1))
+    bs = _spec_int(cfg, "bs", "spec")
+    bs_f = _spec_int(cfg, "bs_f", "spec", 1)
+    if "bs_p" in cfg and _spec_int(cfg, "bs_p", "spec") * bs_f != bs:
+        raise FactorError(f"BS must factor exactly: {bs_f} * {cfg['bs_p']} != {bs}")
+    return request_from_model(nn.Model(specs, shape, seed=0), factors, bs=bs, bs_f=bs_f,
+                              c_f=_spec_int(cfg, "c_f", "spec", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +386,7 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
     bsz = len(x)
     if bsz != plan.bs:
         raise nn.ShapeMismatchError(f"plan expects batch {plan.bs}, got {bsz}")
-    if bsz % plan.bs_f != 0:
-        raise FactorError(f"bs_f {plan.bs_f} does not divide batch {bsz}")
+    factors = {e.index: (e.consumed_factor, e.produced_factor) for e in plan.entries}
     audit = StreamAudit()
     lanes_by_layer: dict = {}
     batch_slices = _splits(bsz, plan.bs_f)
@@ -447,7 +403,7 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
             acts.append(act)
             if spec.kind in KERNELS:
                 kernel = KERNELS[spec.kind]
-                g, f = plan.factors_by_index[li]
+                g, f = factors[li]
                 w, b = layer.params["w"], layer.params["b"]
                 in_slices = _splits(w.shape[kernel.in_axis], g)
                 out_slices = _splits(w.shape[kernel.out_axis], f)
@@ -496,14 +452,13 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
     lane_dout = [dout[bsl] for bsl in batch_slices]
     # nothing reads the input gradient of the first layer with parameters,
     # nor anything below it
-    first = next((li for li, spec in enumerate(model.specs) if spec.kind in KERNELS),
-                 len(model.layers))
+    first = min(factors, default=len(model.layers))
     for li in reversed(range(first, len(model.layers))):
         spec, layer = model.specs[li], model.layers[li]
         if spec.kind in KERNELS:
             kernel = KERNELS[spec.kind]
             input_grad = li > first
-            g, f = plan.factors_by_index[li]
+            g, f = factors[li]
             w = layer.params["w"]
             in_slices = _splits(w.shape[kernel.in_axis], g)
             out_slices = _splits(w.shape[kernel.out_axis], f)
@@ -569,7 +524,7 @@ def plan_report(plan: TilingPlan) -> dict:
             "lanes": plan.bs_f * e.produced_factor,
         })
     return {"label": plan_label(plan), "bs": plan.bs, "bs_f": plan.bs_f,
-            "bs_p": plan.bs_p, "c_f": plan.c_f, "layers": layers}
+            "bs_p": plan.bs // plan.bs_f, "c_f": plan.c_f, "layers": layers}
 
 
 def plan_report_text(plan: TilingPlan) -> str:

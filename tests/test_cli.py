@@ -150,7 +150,9 @@ def test_config_round_trips_with_a_stable_hash():
             "delta": draw(st.floats(0.0, 1.0)),
             "scenario": {"name": name, "ep_ens_d": draw(d_ens[name]),
                          "batch_size": draw(st.integers(1, 4096)),
-                         "link_rate_bps": draw(real), "per_message_overhead_s": draw(real)},
+                         "link_rate_bps": draw(st.floats(0.0, exclude_min=True,
+                                                         allow_infinity=False)),
+                         "per_message_overhead_s": draw(st.floats(0.0, allow_infinity=False))},
             "edge_epoch_range": [lo, lo + draw(st.integers(0, 100))],
             "edge_lr": draw(real), "edge_batch_size": draw(st.integers(1, 1024)),
             "ep_vae": draw(st.integers(0, 500)), "ep_ens": ep_ens, "ens_lr": draw(real),
@@ -309,6 +311,14 @@ def _config_with(tmp_path, edit):
     return ["partition", "--config", write_config(tmp_path, edit(micro_config(tmp_path)))]
 
 
+def _tile_spec(tmp_path, spec):
+    return ["tile-plan", "--spec", write_config(tmp_path, spec, name="spec.json")]
+
+
+CONV_SPEC = {"bs": 1, "input": {"channels": 1, "height": 4, "width": 4},
+             "layers": [{"kind": "conv", "filters": 2, "kernel": [3, 3]}]}
+
+
 BAD_INPUTS = {
     "missing config": (lambda tmp: ["partition", "--config", str(tmp / "absent.json")],
                        "absent.json"),
@@ -320,6 +330,19 @@ BAD_INPUTS = {
                               "dataset must be a JSON object"),
     "scenario not an object": (lambda tmp: _config_with(tmp, lambda d: {**d, "scenario": "S3"}),
                                "scenario must be a JSON object"),
+    "zero link rate": (lambda tmp: _config_with(tmp, lambda d: {
+        **d, "scenario": {**d["scenario"], "link_rate_bps": 0}}), "link_rate_bps"),
+    "tile spec without bs": (lambda tmp: _tile_spec(tmp, {k: v for k, v in CONV_SPEC.items()
+                                                          if k != "bs"}), "'bs'"),
+    "tile spec not an object": (lambda tmp: _tile_spec(tmp, [CONV_SPEC]),
+                                "spec must be a JSON object"),
+    "conv without kernel": (lambda tmp: _tile_spec(tmp, {**CONV_SPEC, "layers": [
+        {"kind": "relu"}, {"kind": "conv", "filters": 2}]}), "layer 1 (conv): missing 'kernel'"),
+    "fcl without width": (lambda tmp: _tile_spec(tmp, {**CONV_SPEC, "layers": [
+        {"kind": "flatten"}, {"kind": "fcl", "factor": 1}]}), "layer 1 (fcl): missing 'l2'"),
+    "pool window over the input": (lambda tmp: _tile_spec(tmp, {**CONV_SPEC, "layers": [
+        {"kind": "maxpool", "size": [5, 5]}, {"kind": "flatten"}, {"kind": "fcl", "l2": 3}]}),
+        "window (5,5) larger than input (4,4)"),
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 from edgefuse import comms
 from edgefuse.comms import (ScenarioConfig, StreamScheduleError, account, plan_schedule,
                             run_scenario, sample_stream)
+from edgefuse.config import ExperimentConfig
 from edgefuse.datasets import PartitionSpec, make_synthetic_classification, sample_edge_assignment
 from edgefuse.edge import EdgeModelConfig, random_edge_config, train_edge
 from edgefuse.ensemble import EnsembleConfig
@@ -38,6 +39,21 @@ def test_s3_pins_divisor_to_epochs():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         ScenarioConfig("S4", ep_ens=10)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("link_rate_bps", 0.0), ("link_rate_bps", -5.0), ("link_rate_bps", math.inf),
+    ("link_rate_bps", math.nan), ("per_message_overhead_s", -1.0),
+])
+def test_link_rate_and_overhead_checked_at_parse(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig("S1", ep_ens=1, **{field: value})
+    doc = {"dataset": {"kind": "synthetic", "n_train": 10, "n_test": 10, "classes": 2,
+                       "dims": 2},
+           "task": "classification", "n_edges": 2, "alpha": 0.5, "delta": 0.2, "seed": 0,
+           "output_dir": "run", "scenario": {"name": "S1", field: value}}
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

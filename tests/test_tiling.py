@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from edgefuse import nn
-from edgefuse.tiling import (ConvLayer, FactorError, FclLayer, PassLayer,
-                             TilingRequest, execute_plan, plan_label,
-                             plan_report, plan_report_text, plan_tiling,
-                             request_from_config, request_from_model,
-                             tiled_conv2d, tiled_matmul)
+from edgefuse.tiling import (FactorError, execute_plan, plan_label, plan_report,
+                             plan_report_text, plan_tiling, request_from_config,
+                             request_from_model, tiled_conv2d, tiled_matmul)
 
 from helpers import scalar_conv2d, scalar_matmul
 
@@ -18,10 +16,12 @@ from helpers import scalar_conv2d, scalar_matmul
 # planner shape calculus
 # ---------------------------------------------------------------------------
 
+def _request(specs, input_shape, factors, **kwargs):
+    return request_from_model(nn.Model(specs, input_shape, seed=0), factors, **kwargs)
+
+
 def test_first_conv_factored_dims():
-    req = TilingRequest(layers=[ConvLayer(filters=4, channels=2, kh=5, kw=5,
-                                          out_h=4, out_w=4, factor=2)],
-                        bs=2, bs_f=1, bs_p=2, c_f=1)
+    req = _request([nn.conv(5, 4)], (2, 8, 8), [2], bs=2, bs_f=1, c_f=1)
     plan = plan_tiling(req)
     w = plan.entries[0].weight_fwd
     assert w.outer == (2, 1)
@@ -33,9 +33,7 @@ def test_first_conv_factored_dims():
 
 def test_later_fcl_factored_dims():
     # a 64-wide fcl produced by factor 4, followed by an fcl with factor 2
-    req = TilingRequest(layers=[FclLayer(l1=8, l2=64, factor=4),
-                                FclLayer(l1=64, l2=10, factor=2)],
-                        bs=4, bs_f=2, bs_p=2, c_f=1)
+    req = _request([nn.dense(64), nn.dense(10)], (8,), [4, 2], bs=4, bs_f=2, c_f=1)
     plan = plan_tiling(req)
     second = plan.entries[1]
     assert second.weight_fwd.outer == (4, 2)
@@ -47,11 +45,8 @@ def test_later_fcl_factored_dims():
 
 
 def test_unit_factors_degenerate_to_original_shapes():
-    req = TilingRequest(layers=[ConvLayer(filters=3, channels=1, kh=2, kw=2,
-                                          out_h=5, out_w=5, factor=1),
-                                PassLayer("flatten"),
-                                FclLayer(l1=75, l2=4, factor=1)],
-                        bs=2, bs_f=1, bs_p=2, c_f=1)
+    req = _request([nn.conv(2, 3), nn.flatten(), nn.dense(4)], (1, 6, 6), [1, 1],
+                   bs=2, bs_f=1, c_f=1)
     plan = plan_tiling(req)
     for e in plan.entries:
         assert all(v == 1 for v in e.weight_fwd.outer)
@@ -60,33 +55,35 @@ def test_unit_factors_degenerate_to_original_shapes():
 
 
 def test_non_dividing_factor_names_layer_and_dim():
-    req = TilingRequest(layers=[ConvLayer(filters=4, channels=2, kh=3, kw=3,
-                                          out_h=4, out_w=4, factor=3)],
-                        bs=1, bs_f=1, bs_p=1, c_f=1)
-    with pytest.raises(FactorError, match=r"layer 0 \(conv\).*factor 3.*filters=4"):
-        plan_tiling(req)
+    for factor in (3, 0):
+        req = _request([nn.conv(3, 4)], (2, 6, 6), [factor], bs=1, bs_f=1, c_f=1)
+        with pytest.raises(FactorError, match=rf"layer 0 \(conv\).*factor {factor}.*filters=4"):
+            plan_tiling(req)
 
 
 def test_chained_factor_divisibility_checked():
-    # first fcl produces factor 3, second has l1=10 which 3 does not divide
-    req = TilingRequest(layers=[FclLayer(l1=4, l2=9, factor=3),
-                                FclLayer(l1=10, l2=2, factor=1)],
-                        bs=1, bs_f=1, bs_p=1, c_f=1)
-    with pytest.raises(FactorError, match="factor 3 does not divide l1=10"):
+    # a later layer consumes a factor that divides its input width (the width
+    # the previous layer's factor split), so c_f, consumed by the first, is
+    # the one consumed factor that can fail to divide
+    req = _request([nn.dense(9), nn.dense(2)], (10,), [3, 1], bs=1, bs_f=1, c_f=4)
+    with pytest.raises(FactorError, match=r"layer 0 \(fcl\): factor 4 does not divide l1=10"):
         plan_tiling(req)
 
 
 def test_bs_factorization_validated():
     with pytest.raises(FactorError, match="BS"):
-        TilingRequest(layers=[], bs=4, bs_f=3, bs_p=2, c_f=1)
+        _request([nn.dense(2)], (3,), [1], bs=4, bs_f=3, c_f=1)
+
+
+@pytest.mark.parametrize("factors", [[2, 3], [2, 3, 1, 1]])
+def test_factor_count_must_match_the_conv_dense_layers(factors):
+    with pytest.raises(FactorError, match=f"{len(factors)} factors for 3 conv/dense layers"):
+        request_from_model(_micro_model(), factors, bs=4)
 
 
 def test_pass_layers_carry_factor_through():
-    req = TilingRequest(layers=[ConvLayer(filters=4, channels=1, kh=3, kw=3,
-                                          out_h=6, out_w=6, factor=2),
-                                PassLayer("maxpool"), PassLayer("relu"), PassLayer("flatten"),
-                                FclLayer(l1=36, l2=6, factor=3)],
-                        bs=2, bs_f=2, bs_p=1, c_f=1)
+    req = _request([nn.conv(3, 4), nn.maxpool(2), nn.relu(), nn.flatten(), nn.dense(6)],
+                   (1, 8, 8), [2, 3], bs=2, bs_f=2, c_f=1)
     plan = plan_tiling(req)
     assert plan.entries[1].consumed_factor == 2     # fcl consumes the conv factor
     assert plan.entries[1].weight_fwd.outer == (2, 3)
@@ -102,12 +99,8 @@ def test_shape_products_recover_original_dims():
         l2a = int(rng.choice([6, 12, 24]))
         fa = int(rng.choice([1, 2, 3, 6]))
         bs_f = int(rng.choice([1, 2, 4]))
-        req = TilingRequest(
-            layers=[ConvLayer(filters=filters, channels=channels, kh=3, kw=3,
-                              out_h=4, out_w=4, factor=f1),
-                    PassLayer("flatten"),
-                    FclLayer(l1=filters * 16, l2=l2a, factor=fa)],
-            bs=4, bs_f=bs_f, bs_p=4 // bs_f, c_f=c_f)
+        req = _request([nn.conv(3, filters), nn.flatten(), nn.dense(l2a)], (channels, 6, 6),
+                       [f1, fa], bs=4, bs_f=bs_f, c_f=c_f)
         plan = plan_tiling(req)
         conv_e, fcl_e = plan.entries
         assert conv_e.weight_fwd.dims() == (filters, channels, 3, 3)
@@ -452,11 +445,11 @@ def test_request_from_config_conv_chain_dims():
             {"kind": "fcl", "l2": 10, "factor": 1},
         ],
     })
-    conv1, conv2 = req.layers[0], req.layers[2]
-    assert (conv1.out_h, conv1.out_w) == (24, 24)
-    assert (conv2.channels, conv2.out_h, conv2.out_w) == (2, 8, 8)
-    fcl = req.layers[4]
-    assert fcl.l1 == 4 * 8 * 8
+    conv1, conv2 = req.model.layers[0], req.model.layers[2]
+    assert conv1.out_shape[1:] == (24, 24)
+    assert (conv2.in_shape[0],) + conv2.out_shape[1:] == (2, 8, 8)
+    fcl = req.model.layers[4]
+    assert fcl.in_dim == 4 * 8 * 8
     plan = plan_tiling(req)
     assert plan.entries[1].consumed_factor == 2
     assert plan.entries[2].consumed_factor == 2     # conv factor carries across flatten
@@ -468,3 +461,11 @@ def test_request_from_config_errors():
     with pytest.raises(FactorError, match="unknown kind"):
         request_from_config({"bs": 1, "input": {"features": 4},
                              "layers": [{"kind": "wat"}]})
+    with pytest.raises(FactorError, match="BS"):
+        request_from_config({"bs": 4, "bs_f": 2, "bs_p": 3, "input": {"features": 4},
+                             "layers": []})
+    with pytest.raises(FactorError, match=r"layer 1 \(conv\): 'stride' must be 2 positive"):
+        request_from_config({"bs": 1, "input": {"channels": 1, "height": 4, "width": 4},
+                             "layers": [{"kind": "relu"},
+                                        {"kind": "conv", "filters": 2, "kernel": [2, 2],
+                                         "stride": 2.5}]})
