@@ -116,12 +116,24 @@ def stage_partition(cfg: ExperimentConfig, force: bool = False) -> EdgeAssignmen
     return assignment
 
 
+def _read_run_file(path: Path, keys=()) -> dict:
+    """The JSON object in run file ``path``; a StageError names the file and
+    the first of ``keys`` it lacks (a ConfigError if it is not JSON)."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise StageError(f"{path}: not a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise StageError(f"{path}: missing key {key!r}")
+    return doc
+
+
 def load_partition(cfg: ExperimentConfig) -> EdgeAssignment:
     path = _run_dir(cfg) / "partition.json"
     if not path.exists():
         raise StageError(f"missing {path}; run the partition stage first")
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _read_run_file(path, ("train_indices", "test_indices", "train_fractions",
+                                "test_fractions", "test_fractions_raw"))
     if doc.get("format_version") != io.FORMAT_VERSION:
         raise StageError(f"{path}: unsupported format version")
     if doc.get("config_hash") != cfg.config_hash():
@@ -320,8 +332,7 @@ REPORT_COLUMNS = [
 
 
 def _ledger_sum_check(run: Path) -> dict:
-    with open(run / "ledger.json") as f:
-        summary = json.load(f)
+    summary = _read_run_file(run / "ledger.json", ("cumulative_bytes", "comm_count"))
     total_bytes, count = 0, 0
     rounds = set()
     with open(run / "ledger.csv", newline="") as f:
@@ -346,8 +357,7 @@ def collect_report_rows(run_dirs) -> list:
         for run in candidates:
             if not (run / "metrics.json").exists() or not (run / "config.json").exists():
                 continue
-            with open(run / "metrics.json") as f:
-                metrics = json.load(f)
+            metrics = _read_run_file(run / "metrics.json")
             summary = _ledger_sum_check(run) if (run / "ledger.json").exists() else {}
             rep = metrics.get("report", {})
             edge_acc = metrics.get("edge_test_accuracy") or []
@@ -461,8 +471,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_file(args.config)
         if args.command == "partition":
             stage_partition(cfg, force=args.force)
-            with open(_run_dir(cfg) / "partition.json") as f:
-                stats = json.load(f)["coverage"]
+            stats = read_json(_run_dir(cfg) / "partition.json")["coverage"]
             print(json.dumps({"union_train_coverage": stats["union_train_coverage"],
                               "mean_edge_train_coverage": stats["mean_edge_train_coverage"]}))
         elif args.command == "train-edges":

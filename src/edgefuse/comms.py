@@ -292,20 +292,20 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
                 v, _ = train_vae(emb, vae_epochs, derived_seed(seed, "vae", i))
                 vaes.append(v)
         vaes = list(vaes) if vaes is not None else []
-        matrix = build_ensemble_dataset(edges, vaes, assignment, train_ds,
+        values = build_ensemble_dataset(edges, vaes, assignment, train_ds,
                                         policy=policy, split="train", fill_seed=fill_seed)
-        model, trace = train_ensemble(matrix, labels, replace(
+        model, trace = train_ensemble(values, labels, replace(
             ens_cfg, epochs=scenario_cfg.ep_ens, batch_size=scenario_cfg.batch_size))
         vae_trace = np.zeros((0, len(edges)))
     else:
         model, trace, vaes, vae_trace = _fit_streaming(scenario_cfg, edges, train_ds, assignment,
                                                        ens_cfg, policy, seed)
 
-    test_matrix = build_ensemble_dataset(edges, vaes, assignment, test_ds,
+    test_values = build_ensemble_dataset(edges, vaes, assignment, test_ds,
                                          policy=policy, split="test", fill_seed=fill_seed)
-    preds = predict(model, test_matrix, task=ens_cfg.task)
+    preds = predict(model, test_values, task=ens_cfg.task)
     if ens_cfg.task == "classification":
-        scores = predict_proba(model, test_matrix)
+        scores = predict_proba(model, test_values)
         report = evaluate(preds, test_ds.labels, "classification",
                           scores=scores, n_classes=ens_cfg.n_outputs)
     else:
@@ -333,9 +333,7 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, edges, train_ds, assignment,
 
     # latents are fixed per (edge, sample) slot for the whole run
     if policy == "vae":
-        slot_z = np.zeros((n_edges, n_total, vaes.latent_dim), dtype=np.float32)
-        for i, (rows, z) in missing_slot_latents(mask, np.arange(n_total), fill_seed).items():
-            slot_z[i, rows] = z
+        slot_z = missing_slot_latents(mask, fill_seed)
 
     model = make_ensemble_model(ens_cfg)
     opt = nn.Adam(ens_cfg.lr)
@@ -364,8 +362,7 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, edges, train_ds, assignment,
                     e, j = np.nonzero(np.arange(order.shape[1]) < gaps[:, None])
                     batch_vals[order[e, j], e] = out[e, j]
             else:
-                batch_vals = fill(policy, batch_vals, held.T,
-                                  sample_indices=batch_idx, seed=fill_seed)
+                batch_vals = fill(policy, batch_vals, held.T)
             x = _as_conv_input(batch_vals)
             y = labels[batch_idx]
             trace += [nn.train_step(model, opt, x, y, loss=ens_cfg.loss, n_classes=n_classes,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -21,10 +22,12 @@ from .io import atomic_write
 from .seeding import derived_seed
 from .vae import FILL_POLICIES
 
+# dataset key -> the kind of its value; every key but ``separation`` is required
 _DATASET_KEYS = {
-    "synthetic": {"kind", "n_train", "n_test", "classes", "dims", "separation"},
-    "idx": {"kind", "train_images", "train_labels", "test_images", "test_labels"},
-    "csv": {"kind", "train_path", "test_path", "target_column"},
+    "synthetic": {"n_train": int, "n_test": int, "classes": int, "dims": int,
+                  "separation": float},
+    "idx": {"train_images": str, "train_labels": str, "test_images": str, "test_labels": str},
+    "csv": {"train_path": str, "test_path": str, "target_column": str},
 }
 
 _SCENARIO_KEYS = {"name", "ep_ens_d", "batch_size", "link_rate_bps", "per_message_overhead_s"}
@@ -40,16 +43,41 @@ class ConfigError(ValueError):
     pass
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
 def _check_keys(d: dict, allowed: set, where: str) -> None:
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def is_integer(value) -> bool:
+    """True for an integer or a float with an integral value (2.0); False for
+    a bool, a string, None and anything else."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer()))
+
+
+# value kind -> (its name in errors, its check)
+_KINDS = {int: ("an integer", is_integer),
+          float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+          str: ("a string", lambda v: isinstance(v, str)),
+          dict: ("a JSON object", lambda v: isinstance(v, dict))}
+_REQUIRED = object()
+
+
+def _checked(d: dict, key: str, kind, where: str = "", default=_REQUIRED):
+    """``d[key]`` (``default`` if absent) as ``kind``: int, float, str or
+    dict. A ConfigError names the key if it is missing or holds another kind;
+    a bool is no number, an integer may be written as an integral float, and
+    only a key whose default is None may hold null."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required config key {where + key!r}")
+        return default
+    value = d[key]
+    what, ok = _KINDS[kind]
+    if not (ok(value) or value is None and default is None):
+        raise ConfigError(f"{where + key} must be {what}, got {value!r}")
+    return None if value is None else kind(value)
 
 
 @dataclass
@@ -137,39 +165,44 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        _check_keys(_object(d, "config"), _TOP_KEYS, "config")
-        for key in ("dataset", "task", "n_edges", "alpha", "delta", "seed", "output_dir"):
-            if key not in d:
-                raise ConfigError(f"missing required config key {key!r}")
-        ds = _object(d["dataset"], "dataset")
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+        _check_keys(d, _TOP_KEYS, "config")
+        ds = _checked(d, "dataset", dict)
         kind = ds.get("kind")
         if kind not in _DATASET_KEYS:
             raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}")
-        _check_keys(ds, _DATASET_KEYS[kind], f"dataset[{kind}]")
-        sc = _object(d.get("scenario", {}), "scenario")
+        _check_keys(ds, set(_DATASET_KEYS[kind]) | {"kind"}, f"dataset[{kind}]")
+        for key, value_kind in _DATASET_KEYS[kind].items():   # stored as written: same hash
+            if key in ds or key != "separation":
+                _checked(ds, key, value_kind, "dataset.")
+        sc = _checked(d, "scenario", dict, default={})
         _check_keys(sc, _SCENARIO_KEYS, "scenario")
         rng_range = d.get("edge_epoch_range", [30, 30])
+        if not (isinstance(rng_range, (list, tuple)) and len(rng_range) == 2
+                and all(is_integer(v) for v in rng_range)):
+            raise ConfigError(f"edge_epoch_range must be a list of two integers, got {rng_range!r}")
         return ExperimentConfig(
-            dataset=dict(ds),
-            task=d["task"],
-            n_edges=int(d["n_edges"]),
-            l_com=int(d.get("l_com", 64)),
-            alpha=float(d["alpha"]),
-            delta=float(d["delta"]),
-            scenario_name=sc.get("name", "S1"),
-            ep_ens_d=sc.get("ep_ens_d"),
-            batch_size=int(sc.get("batch_size", 128)),
-            link_rate_bps=float(sc.get("link_rate_bps", 450e6)),
-            per_message_overhead_s=float(sc.get("per_message_overhead_s", 0.0)),
+            dataset=ds,
+            task=_checked(d, "task", str),
+            n_edges=_checked(d, "n_edges", int),
+            l_com=_checked(d, "l_com", int, default=64),
+            alpha=_checked(d, "alpha", float),
+            delta=_checked(d, "delta", float),
+            scenario_name=_checked(sc, "name", str, "scenario.", "S1"),
+            ep_ens_d=_checked(sc, "ep_ens_d", int, "scenario.", None),
+            batch_size=_checked(sc, "batch_size", int, "scenario.", 128),
+            link_rate_bps=_checked(sc, "link_rate_bps", float, "scenario.", 450e6),
+            per_message_overhead_s=_checked(sc, "per_message_overhead_s", float, "scenario.", 0.0),
             edge_epoch_range=tuple(int(v) for v in rng_range),
-            edge_lr=float(d.get("edge_lr", 1e-4)),
-            edge_batch_size=int(d.get("edge_batch_size", 32)),
-            ep_vae=int(d.get("ep_vae", 50)),
-            ep_ens=int(d.get("ep_ens", 100)),
-            ens_lr=float(d.get("ens_lr", 1e-4)),
-            fill_policy=d.get("fill_policy", "vae"),
-            seed=int(d["seed"]),
-            output_dir=str(d["output_dir"]),
+            edge_lr=_checked(d, "edge_lr", float, default=1e-4),
+            edge_batch_size=_checked(d, "edge_batch_size", int, default=32),
+            ep_vae=_checked(d, "ep_vae", int, default=50),
+            ep_ens=_checked(d, "ep_ens", int, default=100),
+            ens_lr=_checked(d, "ens_lr", float, default=1e-4),
+            fill_policy=_checked(d, "fill_policy", str, default="vae"),
+            seed=_checked(d, "seed", int),
+            output_dir=_checked(d, "output_dir", str),
         )
 
     @staticmethod

@@ -1,7 +1,8 @@
 """The server-side meta-learner: stack per-edge embeddings into an
-(n, N, width) matrix with an availability mask, convolve a (N/2, width/2)
-kernel bank over the stack, and predict. Also provides the majority /
-average voting baselines.
+(n, N, width) float32 array, fill its missing slots, convolve a (N/2, width/2)
+kernel bank over it, and predict. Training and inference take that one array;
+only ``stack_embeddings`` also returns the (n, N) mask of received slots. Also
+provides the majority / average voting baselines.
 """
 
 from __future__ import annotations
@@ -18,32 +19,6 @@ from .edge import EdgeArtifact, batched_forward, edge_predict_proba, extract_emb
 from .metrics import MetricReport, classification_report, regression_report
 from .seeding import derived_seed, rng_from
 from .vae import Vae, fill
-
-
-@dataclass
-class EmbeddingMatrix:
-    """Stacked embeddings plus provenance: mask True means the slot was
-    received from the edge; False means it was filled in."""
-
-    values: np.ndarray           # (n, N, width) float32
-    mask: np.ndarray             # (n, N) bool
-    sample_indices: np.ndarray   # (n,) dataset indices the rows map to
-    split: str = "train"
-
-    def __post_init__(self):
-        n, n_edges, _ = self.values.shape
-        if self.mask.shape != (n, n_edges):
-            raise nn.ShapeMismatchError(f"mask {self.mask.shape} vs values {self.values.shape}")
-        if len(self.sample_indices) != n:
-            raise nn.ShapeMismatchError("sample_indices length mismatch")
-
-    @property
-    def n_edges(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
 
 
 @dataclass(frozen=True)
@@ -92,20 +67,14 @@ def stack_embeddings(edges: Sequence[EdgeArtifact], dataset: Dataset, index_sets
 def build_ensemble_dataset(edges: Sequence[EdgeArtifact], vaes: Optional[Sequence[Vae]],
                            assignment: EdgeAssignment, dataset: Dataset, *,
                            policy: str = "vae", split: str = "train",
-                           fill_seed=0) -> EmbeddingMatrix:
-    """Stack every edge's embeddings for all dataset rows.
-
-    A slot (k, i) holds edge i's real embedding when the edge was assigned
-    sample k for this split; otherwise it is filled per the policy. The mask
-    records exactly which slots were received.
-    """
-    if policy == "vae" and (vaes is None or len(vaes) != len(edges)):
-        raise ValueError("need one VAE per edge for the vae policy")
+                           fill_seed=0) -> np.ndarray:
+    """The filled (n, N, width) float32 array of every edge's embeddings for
+    all dataset rows: slot (k, i) holds edge i's real embedding when the edge
+    was assigned sample k for this split, and is filled per the policy
+    otherwise."""
     index_sets = assignment.train_indices if split == "train" else assignment.test_indices
     values, mask = stack_embeddings(edges, dataset, index_sets)
-    sample_indices = np.arange(len(dataset))
-    filled = fill(policy, values, mask, vaes=vaes, sample_indices=sample_indices, seed=fill_seed)
-    return EmbeddingMatrix(values=filled, mask=mask, sample_indices=sample_indices, split=split)
+    return fill(policy, values, mask, vaes=vaes, seed=fill_seed)
 
 
 def make_ensemble_model(config: EnsembleConfig) -> nn.Model:
@@ -129,35 +98,34 @@ def _as_conv_input(values: np.ndarray) -> np.ndarray:
     return values.reshape(n, 1, n_edges, width)
 
 
-def train_ensemble(matrix: EmbeddingMatrix, labels, config: EnsembleConfig):
-    """Train the meta-learner on a stacked matrix; returns (model, loss trace)."""
+def train_ensemble(values: np.ndarray, labels, config: EnsembleConfig):
+    """Train the meta-learner on a filled (n, N, width) array; returns (model, loss trace)."""
     y = np.asarray(labels)
-    if len(y) != len(matrix.values):
+    if len(y) != len(values):
         raise nn.ShapeMismatchError("labels do not align with the embedding matrix")
     model = make_ensemble_model(config)
     rng = rng_from(config.seed, "ensemble-shuffle")
-    trace = nn.fit(model, _as_conv_input(matrix.values), y, loss=config.loss,
+    trace = nn.fit(model, _as_conv_input(values), y, loss=config.loss,
                    optimizer=nn.Adam(config.lr), epochs=config.epochs,
                    batch_size=config.batch_size, rng=rng,
                    n_classes=config.n_outputs if config.task == "classification" else None)
     return model, trace
 
 
-def ensemble_logits(model: nn.Model, matrix: EmbeddingMatrix) -> np.ndarray:
-    return batched_forward(model, _as_conv_input(matrix.values))
+def ensemble_logits(model: nn.Model, values: np.ndarray) -> np.ndarray:
+    return batched_forward(model, _as_conv_input(values))
 
 
-def predict(model: nn.Model, matrix: EmbeddingMatrix, task: str = "classification") -> np.ndarray:
-    """Class ids for classification, real values for regression. The mask is
-    provenance metadata only; inference never reads it."""
-    logits = ensemble_logits(model, matrix)
+def predict(model: nn.Model, values: np.ndarray, task: str = "classification") -> np.ndarray:
+    """Class ids for classification, real values for regression."""
+    logits = ensemble_logits(model, values)
     if task == "classification":
         return logits.argmax(axis=1)
     return logits[:, 0]
 
 
-def predict_proba(model: nn.Model, matrix: EmbeddingMatrix) -> np.ndarray:
-    return nn.softmax(ensemble_logits(model, matrix))
+def predict_proba(model: nn.Model, values: np.ndarray) -> np.ndarray:
+    return nn.softmax(ensemble_logits(model, values))
 
 
 def vote_baselines(edges: Sequence[EdgeArtifact], dataset: Dataset, indices) -> dict:

@@ -30,17 +30,13 @@ def accuracy(y_true, y_pred) -> float:
 
 
 def _tied_ranks(x: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties sharing their mid-rank."""
+    """Average ranks (1-based) with ties sharing their mid-rank; each NaN
+    ranks alone, after every number, in input order."""
     order = np.argsort(x, kind="mergesort")
+    _, first, counts = np.unique(x[order], return_index=True, return_counts=True,
+                                 equal_nan=False)
     ranks = np.empty(len(x), dtype=np.float64)
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(first + 0.5 * (counts - 1) + 1.0, counts)
     return ranks
 
 

@@ -40,6 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import nn
+from .config import is_integer
 
 
 class FactorError(ValueError):
@@ -172,14 +173,11 @@ def _spec_int(d: dict, key: str, where: str, default=None, n=1):
     """``d[key]`` (``default`` if absent) as a positive int, or a tuple of
     ``n`` > 1 of them; a FactorError names ``where`` and the key otherwise."""
     value = d.get(key, default)
-    try:
-        ints = tuple(int(v) for v in (value if n > 1 else [value]))
-    except (TypeError, ValueError):
-        ints = ()
-    if len(ints) != n or min(ints) < 1:
+    values = (value,) if n == 1 else tuple(value) if isinstance(value, (list, tuple)) else ()
+    if len(values) != n or not all(is_integer(v) and v >= 1 for v in values):
         raise FactorError(f"{where}: missing {key!r}" if value is None else
                           f"{where}: {key!r} must be {n} positive integer(s), got {value!r}")
-    return ints if n > 1 else ints[0]
+    return tuple(int(v) for v in values) if n > 1 else int(value)
 
 
 def request_from_config(cfg) -> TilingRequest:

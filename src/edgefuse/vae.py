@@ -9,6 +9,10 @@ form KL divergence to a standard normal, using Adam.
 A streaming run holds its N VAEs as one ``Vae`` stacked along a leading
 member axis (weights (N, in, out) in one (N, P) ``nn.Module`` buffer), so a
 round is one masked ``train_step`` and one ``decode`` for every edge.
+
+Filling takes the server's stacked (n, N, width) float32 matrix and its (n, N)
+mask of received slots. The latents of its missing slots are one (N, n, latent)
+float32 array keyed by row: a slot draws one latent for the whole run.
 """
 
 from __future__ import annotations
@@ -178,28 +182,22 @@ def slot_latent(seed, edge_id: int, sample_index: int, latent_dim: int = LATENT_
     return rng.standard_normal(latent_dim)
 
 
-def missing_slot_latents(mask: np.ndarray, sample_indices: np.ndarray, seed,
-                         latent_dim: int = LATENT_DIM) -> dict:
-    """Per-edge latents for every missing slot: {edge: (row positions, Z)}."""
-    out = {}
-    n, n_edges = mask.shape
-    for i in range(n_edges):
-        rows = np.nonzero(~mask[:, i])[0]
-        if rows.size == 0:
-            out[i] = (rows, np.zeros((0, latent_dim)))
-            continue
-        z = np.stack([slot_latent(seed, i, int(sample_indices[r]), latent_dim) for r in rows])
-        out[i] = (rows, z)
-    return out
+def missing_slot_latents(mask: np.ndarray, seed, latent_dim: int = LATENT_DIM) -> np.ndarray:
+    """The (N, n, latent_dim) float32 latents of an (n, N) mask: slot (r, i)
+    holds ``slot_latent(seed, i, r)`` where ``mask[r, i]`` is False, 0 where
+    the slot was received."""
+    z = np.zeros((mask.shape[1], mask.shape[0], latent_dim), dtype=np.float32)
+    for r, i in zip(*np.nonzero(~mask)):
+        z[i, r] = slot_latent(seed, int(i), int(r), latent_dim)
+    return z
 
 
 def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
-         vaes: Optional[Sequence[Vae]] = None,
-         sample_indices: Optional[np.ndarray] = None, seed=0) -> np.ndarray:
-    """Fill missing (sample, edge) slots; received slots are returned untouched.
+         vaes: Optional[Sequence[Vae]] = None, seed=0) -> np.ndarray:
+    """Fill missing (row, edge) slots; received slots are returned untouched.
 
     values: (n, N, width); mask: (n, N) with True = received from the edge.
-    The VAE policy decodes a per-slot latent with the matching edge's VAE;
+    The VAE policy decodes row r's latent for edge i with edge i's VAE;
     zero/mean/max use only that edge's successfully received vectors.
     """
     if policy not in FILL_POLICIES:
@@ -207,28 +205,22 @@ def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
     n, n_edges, width = values.shape
     if mask.shape != (n, n_edges):
         raise nn.ShapeMismatchError(f"mask {mask.shape} does not match values {values.shape}")
+    if policy == "vae" and (vaes is None or len(vaes) != n_edges):
+        raise ValueError("vae policy needs one VAE per edge")
     out = values.copy()
     if mask.all():
         return out
-    if policy == "vae":
-        if vaes is None or len(vaes) != n_edges:
-            raise ValueError("vae policy needs one VAE per edge")
-        if sample_indices is None:
-            sample_indices = np.arange(n)
-        latents = missing_slot_latents(mask, sample_indices, seed)
-        for i in range(n_edges):
-            rows, z = latents[i]
-            if rows.size:
-                out[rows, i, :] = vaes[i].decode(z)
-        return out
+    z = missing_slot_latents(mask, seed) if policy == "vae" else None
     for i in range(n_edges):
         rows = np.nonzero(~mask[:, i])[0]
         if rows.size == 0:
             continue
-        received = values[mask[:, i], i, :]
-        if policy == "zero":
+        if policy == "vae":
+            fill_vec = vaes[i].decode(z[i, rows])
+        elif policy == "zero":
             fill_vec = np.zeros(width, dtype=values.dtype)
         else:
+            received = values[mask[:, i], i, :]
             if received.shape[0] == 0:
                 raise ValueError(f"edge {i}: no received vectors to take the {policy} of")
             fill_vec = received.mean(axis=0) if policy == "mean" else received.max(axis=0)

@@ -174,3 +174,19 @@ def scalar_maxpool2d_backward(dout, argmax, x_shape, size):
                     k = int(argmax[n, ci, i, j])
                     dx[n, ci, i * ph + k // pw, j * pw + k % pw] = dout[n, ci, i, j]
     return dx
+
+
+def average_ranks(x):
+    """1-based average ranks by pairwise counting: 1 + the values below, plus
+    half the other values equal. NaN equals nothing and ranks after every
+    number, NaNs in input order."""
+    ranks = []
+    for k, a in enumerate(x):
+        if math.isnan(a):
+            below = sum(not math.isnan(b) for b in x) + sum(math.isnan(b) for b in x[:k])
+            ranks.append(below + 1.0)
+        else:
+            below = sum(b < a for b in x)
+            equal = sum(b == a for b in x)
+            ranks.append(below + 0.5 * (equal - 1) + 1.0)
+    return ranks

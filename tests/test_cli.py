@@ -317,6 +317,33 @@ def _tile_spec(tmp_path, spec):
 
 CONV_SPEC = {"bs": 1, "input": {"channels": 1, "height": 4, "width": 4},
              "layers": [{"kind": "conv", "filters": 2, "kernel": [3, 3]}]}
+FCL_SPEC = {"bs": 1, "input": {"features": 8}, "layers": [{"kind": "fcl", "l2": 4}]}
+
+
+def _fcl_spec(tmp_path, layer=None, **top):
+    spec = {**FCL_SPEC, **top, "layers": [{**FCL_SPEC["layers"][0], **(layer or {})}]}
+    return _tile_spec(tmp_path, spec)
+
+
+def _dataset(kind, **keys):
+    return lambda tmp: _config_with(tmp, lambda d: {**d, "dataset": {"kind": kind, **keys}})
+
+
+def _after_partition(tmp_path, edit):
+    """train-edges on a run whose partition.json text went through ``edit``."""
+    argv = _config_with(tmp_path, lambda d: d)
+    assert main(argv) == 0
+    path = tmp_path / "run" / "partition.json"
+    path.write_text(edit(path.read_text()))
+    return ["train-edges", *argv[1:]]
+
+
+def _report_on(tmp_path, metrics_text):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "config.json").write_text("{}")
+    (run / "metrics.json").write_text(metrics_text)
+    return ["report", "--runs", str(run)]
 
 
 BAD_INPUTS = {
@@ -343,6 +370,38 @@ BAD_INPUTS = {
     "pool window over the input": (lambda tmp: _tile_spec(tmp, {**CONV_SPEC, "layers": [
         {"kind": "maxpool", "size": [5, 5]}, {"kind": "flatten"}, {"kind": "fcl", "l2": 3}]}),
         "window (5,5) larger than input (4,4)"),
+    "n_edges a string": (lambda tmp: _config_with(tmp, lambda d: {**d, "n_edges": "two"}),
+                         "n_edges must be an integer, got 'two'"),
+    "ep_ens_d a string": (lambda tmp: _config_with(tmp, lambda d: {
+        **d, "scenario": {"name": "S2", "ep_ens_d": "5"}}), "scenario.ep_ens_d"),
+    "ep_ens_d not integral": (lambda tmp: _config_with(tmp, lambda d: {
+        **d, "ep_ens": 5, "scenario": {"name": "S2", "ep_ens_d": 2.5}}),
+        "scenario.ep_ens_d must be an integer, got 2.5"),
+    "edge_epoch_range a number": (lambda tmp: _config_with(
+        tmp, lambda d: {**d, "edge_epoch_range": 5}), "edge_epoch_range"),
+    "alpha null": (lambda tmp: _config_with(tmp, lambda d: {**d, "alpha": None}),
+                   "alpha must be a number"),
+    "seed a bool": (lambda tmp: _config_with(tmp, lambda d: {**d, "seed": True}),
+                    "seed must be an integer"),
+    "synthetic without n_train": (_dataset("synthetic", n_test=6, classes=2, dims=2),
+                                  "'dataset.n_train'"),
+    "idx without train_images": (_dataset("idx", train_labels="a", test_images="b",
+                                          test_labels="c"), "'dataset.train_images'"),
+    "csv without target_column": (_dataset("csv", train_path="a", test_path="b"),
+                                  "'dataset.target_column'"),
+    "fcl width not integral": (lambda tmp: _fcl_spec(tmp, {"l2": 2.5}), "'l2'"),
+    "fcl width a string": (lambda tmp: _fcl_spec(tmp, {"l2": "4"}), "'l2'"),
+    "features not integral": (lambda tmp: _fcl_spec(tmp, input={"features": 8.9}),
+                              "input: 'features'"),
+    "factor not integral": (lambda tmp: _fcl_spec(tmp, {"factor": 2.7}), "'factor'"),
+    "bs a bool": (lambda tmp: _fcl_spec(tmp, bs=True), "spec: 'bs'"),
+    "truncated partition": (lambda tmp: _after_partition(tmp, lambda text: text[:2]),
+                            "partition.json"),
+    "partition without train_indices": (lambda tmp: _after_partition(
+        tmp, lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                      if k != "train_indices"})),
+        "partition.json: missing key 'train_indices'"),
+    "truncated metrics": (lambda tmp: _report_on(tmp, '{"'), "metrics.json"),
 }
 
 

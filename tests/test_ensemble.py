@@ -5,14 +5,13 @@ from edgefuse import nn
 from edgefuse.datasets import (PartitionSpec, make_synthetic_classification,
                                sample_edge_assignment)
 from edgefuse.edge import EdgeArtifact, EdgeModelConfig, extract_embeddings, train_edge
-from edgefuse.ensemble import (EmbeddingMatrix, EnsembleConfig,
-                               build_ensemble_dataset, ensemble_logits,
-                               evaluate, make_ensemble_model, predict,
-                               predict_proba, train_ensemble, vote_baselines)
-from edgefuse.metrics import binary_auc, confusion_matrix
-from edgefuse.vae import Vae
+from edgefuse.ensemble import (EnsembleConfig, build_ensemble_dataset, ensemble_logits,
+                               evaluate, make_ensemble_model, predict, stack_embeddings,
+                               train_ensemble, vote_baselines)
+from edgefuse.metrics import _tied_ranks, binary_auc, confusion_matrix
+from edgefuse.vae import Vae, slot_latent
 
-from helpers import scalar_conv2d
+from helpers import average_ranks, scalar_conv2d
 
 
 @pytest.fixture(scope="module")
@@ -42,21 +41,22 @@ def test_full_coverage_means_no_imputation(stack_setup):
     train, test, _, edges, vaes = stack_setup
     asg_full = sample_edge_assignment(train, test,
                                       PartitionSpec(alpha=1.0, delta=0.0, n_edges=3, seed=1))
-    mat = build_ensemble_dataset(edges, vaes, asg_full, train, policy="vae", split="train")
-    assert mat.mask.all()
+    values = build_ensemble_dataset(edges, vaes, asg_full, train, policy="vae", split="train")
+    assert stack_embeddings(edges, train, asg_full.train_indices)[1].all()
     for i, art in enumerate(edges):
         emb = extract_embeddings(art, train, np.arange(len(train)))
-        assert np.array_equal(mat.values[:, i, :], emb)       # bit-equal, untouched
+        assert np.array_equal(values[:, i, :], emb)       # bit-equal, untouched
 
 
 def test_received_slots_bit_equal_edge_embeddings(stack_setup):
     train, _, asg, edges, vaes = stack_setup
-    mat = build_ensemble_dataset(edges, vaes, asg, train, policy="vae", split="train")
+    values = build_ensemble_dataset(edges, vaes, asg, train, policy="vae", split="train")
+    _, mask = stack_embeddings(edges, train, asg.train_indices)
     for i, art in enumerate(edges):
         idx = asg.train_indices[i]
         emb = extract_embeddings(art, train, idx)
-        assert np.array_equal(mat.values[idx, i, :], emb)
-        assert mat.mask[idx, i].all()
+        assert np.array_equal(values[idx, i, :], emb)
+        assert mask[idx, i].all() and mask[:, i].sum() == len(idx)
 
 
 def test_uncovered_sample_fully_imputed(stack_setup):
@@ -64,11 +64,13 @@ def test_uncovered_sample_fully_imputed(stack_setup):
     import dataclasses
     dropped = dataclasses.replace(
         asg, train_indices=[ix[ix != 0] for ix in asg.train_indices])
-    mat = build_ensemble_dataset(edges, vaes, dropped, train, policy="vae", split="train")
-    assert not mat.mask[0].any()
-    assert np.all(mat.values[0] != 0.0) or True   # filled with decoded values
-    zero_mat = build_ensemble_dataset(edges, vaes, dropped, train, policy="zero", split="train")
-    assert np.all(zero_mat.values[0] == 0.0)
+    assert not stack_embeddings(edges, train, dropped.train_indices)[1][0].any()
+    values = build_ensemble_dataset(edges, vaes, dropped, train, policy="vae", split="train")
+    for i, vae in enumerate(vaes):     # row 0's own latent, decoded by edge i's VAE (float32)
+        expected = vae.decode(slot_latent(0, i, 0)[None])[0]
+        np.testing.assert_allclose(values[0, i], expected, rtol=1e-5, atol=1e-5)
+    zero = build_ensemble_dataset(edges, vaes, dropped, train, policy="zero", split="train")
+    assert np.all(zero[0] == 0.0)
 
 
 def test_mask_fraction_tracks_alpha_expectation():
@@ -147,28 +149,17 @@ def _toy_matrix(n=40, n_edges=4, width=8, seed=0):
     labels = rng.integers(0, 2, size=n)
     values = rng.normal(size=(n, n_edges, width)).astype(np.float32)
     values[:, 0, 0] = labels * 3.0          # plant an easy signal
-    return EmbeddingMatrix(values=values, mask=np.ones((n, n_edges), bool),
-                           sample_indices=np.arange(n)), labels
+    return values, labels
 
 
 def test_single_class_labels_learned_exactly():
     mat, _ = _toy_matrix()
-    labels = np.full(len(mat.values), 2)
+    labels = np.full(len(mat), 2)
     cfg = EnsembleConfig(n_edges=4, feature_width=8, task="classification",
                          n_outputs=3, epochs=60, lr=0.01, batch_size=16, seed=1)
     model, trace = train_ensemble(mat, labels, cfg)
     assert np.all(predict(model, mat) == 2)
     assert trace[-1] < 0.05
-
-
-def test_predictions_ignore_mask(stack_setup):
-    mat, labels = _toy_matrix(seed=3)
-    cfg = EnsembleConfig(n_edges=4, feature_width=8, task="classification",
-                         n_outputs=2, epochs=5, lr=0.01, batch_size=16, seed=2)
-    model, _ = train_ensemble(mat, labels, cfg)
-    flipped = EmbeddingMatrix(values=mat.values, mask=~mat.mask,
-                              sample_indices=mat.sample_indices)
-    assert np.array_equal(predict(model, mat), predict(model, flipped))
 
 
 def test_batch_of_one_matches_batched_inference():
@@ -177,11 +168,8 @@ def test_batch_of_one_matches_batched_inference():
                          n_outputs=2, epochs=3, lr=0.01, batch_size=16, seed=3)
     model, _ = train_ensemble(mat, labels, cfg)
     batched = ensemble_logits(model, mat)
-    singles = np.concatenate([
-        ensemble_logits(model, EmbeddingMatrix(values=mat.values[i:i + 1],
-                                               mask=mat.mask[i:i + 1],
-                                               sample_indices=np.arange(1)))
-        for i in range(len(labels))])
+    singles = np.concatenate([ensemble_logits(model, mat[i:i + 1])
+                              for i in range(len(labels))])
     assert np.allclose(batched, singles, atol=1e-5)
     assert np.array_equal(batched.argmax(axis=1), singles.argmax(axis=1))
 
@@ -191,12 +179,10 @@ def test_regression_head_predicts_reals():
     n = 50
     values = rng.normal(size=(n, 4, 8)).astype(np.float32)
     target = values[:, 0, 0].astype(np.float64) * 2.0
-    mat = EmbeddingMatrix(values=values, mask=np.ones((n, 4), bool),
-                          sample_indices=np.arange(n))
     cfg = EnsembleConfig(n_edges=4, feature_width=8, task="regression",
                          n_outputs=1, epochs=80, lr=0.02, batch_size=16, seed=4)
-    model, trace = train_ensemble(mat, target, cfg)
-    preds = predict(model, mat, task="regression")
+    model, trace = train_ensemble(values, target, cfg)
+    preds = predict(model, values, task="regression")
     assert preds.shape == (n,)
     assert trace[-1] < trace[0]
 
@@ -323,6 +309,22 @@ def test_binary_auc_hand_cases():
     assert binary_auc([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0]) == 0.0
     assert binary_auc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
     assert binary_auc([0.3, 0.7], [0, 0]) is None
+
+
+def test_tied_ranks_match_pairwise_oracle():
+    """Ties share their mid-rank, each NaN ranks alone after every number,
+    and the result equals an O(n^2) pairwise count exactly."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf, np.nan]), st.floats())
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(xs=st.lists(values, max_size=25))
+    def check(xs):
+        ranks = _tied_ranks(np.asarray(xs, dtype=np.float64))
+        assert ranks.tolist() == average_ranks(xs)
+
+    check()
 
 
 def test_binned_regression_accuracy():

@@ -214,13 +214,30 @@ def test_slot_latents_independent_of_other_slots():
     mask_a[2, 1] = False
     mask_b = mask_a.copy()
     mask_b[4, 0] = False                  # extra missing slot elsewhere
-    idx = np.arange(5)
-    za = missing_slot_latents(mask_a, idx, seed=7)
-    zb = missing_slot_latents(mask_b, idx, seed=7)
-    rows_a, lat_a = za[1]
-    rows_b, lat_b = zb[1]
-    assert np.array_equal(rows_a, rows_b)
-    assert np.array_equal(lat_a, lat_b)
+    za = missing_slot_latents(mask_a, seed=7)
+    zb = missing_slot_latents(mask_b, seed=7)
+    assert np.array_equal(za[1, 2], zb[1, 2])
+
+
+def test_slot_latents_are_keyed_by_row():
+    """Any mask: missing slot (r, i) holds slot_latent(seed, i, r) as float32,
+    and every received slot holds 0."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(n=st.integers(1, 6), n_edges=st.integers(1, 4),
+                      p_received=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def check(n, n_edges, p_received, seed):
+        mask = np.random.default_rng(seed).random((n, n_edges)) < p_received
+        z = missing_slot_latents(mask, seed)
+        assert z.shape == (n_edges, n, 32) and z.dtype == np.float32
+        for r in range(n):
+            for i in range(n_edges):
+                expected = 0.0 if mask[r, i] else slot_latent(seed, i, r).astype(np.float32)
+                assert np.array_equal(z[i, r], np.broadcast_to(expected, (32,)))
+
+    check()
 
 
 # ---------------------------------------------------------------------------
