@@ -128,7 +128,8 @@ def _read_run_file(path: Path, keys=()) -> dict:
     return doc
 
 
-def load_partition(cfg: ExperimentConfig) -> EdgeAssignment:
+def load_partition(cfg: ExperimentConfig, n_train: int, n_test: int) -> EdgeAssignment:
+    """The stored partition of splits of ``n_train`` and ``n_test`` rows."""
     path = _run_dir(cfg) / "partition.json"
     if not path.exists():
         raise StageError(f"missing {path}; run the partition stage first")
@@ -138,6 +139,14 @@ def load_partition(cfg: ExperimentConfig) -> EdgeAssignment:
         raise StageError(f"{path}: unsupported format version")
     if doc.get("config_hash") != cfg.config_hash():
         raise StageError(f"{path}: config hash mismatch (stale partition)")
+    for key, size in (("train_indices", n_train), ("test_indices", n_test)):
+        lists = doc[key]
+        if not isinstance(lists, list) or len(lists) != cfg.n_edges:
+            raise StageError(f"{path}: {key!r} must hold {cfg.n_edges} lists, one per edge")
+        for i, ix in enumerate(lists):
+            if not (isinstance(ix, list) and all(type(v) is int and 0 <= v < size for v in ix)):
+                raise StageError(f"{path}: {key!r} of edge {i} must be a list of "
+                                 f"integers in [0, {size})")
     return EdgeAssignment(
         spec=cfg.partition_spec(),
         train_indices=[np.asarray(ix, dtype=np.int64) for ix in doc["train_indices"]],
@@ -159,7 +168,7 @@ def _edge_path(run: Path, i: int) -> Path:
 def stage_train_edges(cfg: ExperimentConfig, force: bool = False) -> list:
     run = _run_dir(cfg)
     bundle = load_datasets(cfg)
-    assignment = load_partition(cfg)
+    assignment = load_partition(cfg, len(bundle["train"]), len(bundle["test"]))
     chash = cfg.config_hash()
     for i in range(cfg.n_edges):
         _refuse_overwrite(_edge_path(run, i), force)
@@ -214,7 +223,7 @@ def _vae_path(run: Path, i: int) -> Path:
 def stage_train_vaes(cfg: ExperimentConfig, force: bool = False) -> list:
     run = _run_dir(cfg)
     bundle = load_datasets(cfg)
-    assignment = load_partition(cfg)
+    assignment = load_partition(cfg, len(bundle["train"]), len(bundle["test"]))
     edges = load_edges(cfg)
     chash = cfg.config_hash()
     for i in range(cfg.n_edges):
@@ -288,7 +297,7 @@ def _ensemble_config(cfg: ExperimentConfig, n_classes) -> ensemble.EnsembleConfi
 def _run_and_write(cfg: ExperimentConfig, force: bool, stored_vaes):
     """Run the scenario on the stored edges with ``stored_vaes()`` (None: train inline)."""
     bundle = load_datasets(cfg)
-    assignment = load_partition(cfg)
+    assignment = load_partition(cfg, len(bundle["train"]), len(bundle["test"]))
     edges = load_edges(cfg)
     vaes = stored_vaes()
     ens_cfg = _ensemble_config(cfg, bundle["partition_train"].n_classes)
@@ -333,13 +342,23 @@ REPORT_COLUMNS = [
 
 def _ledger_sum_check(run: Path) -> dict:
     summary = _read_run_file(run / "ledger.json", ("cumulative_bytes", "comm_count"))
-    total_bytes, count = 0, 0
-    rounds = set()
-    with open(run / "ledger.csv", newline="") as f:
-        for row in csv.DictReader(f):
-            total_bytes += int(row["bytes"])
-            rounds.add(int(row["round"]))
-            count += 1
+    path = run / "ledger.csv"
+    total_bytes, rounds = 0, set()
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            missing = sorted({"bytes", "round"} - set(reader.fieldnames or ()))
+            if missing:
+                raise StageError(f"{path}: missing column {missing[0]!r}")
+            for row in reader:
+                try:
+                    total_bytes += int(row["bytes"])
+                    rounds.add(int(row["round"]))
+                except (TypeError, ValueError):
+                    raise StageError(f"{path}: line {reader.line_num}: bytes {row['bytes']!r} "
+                                     f"and round {row['round']!r} must be integers") from None
+    except (OSError, csv.Error) as exc:
+        raise StageError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from exc
     if total_bytes != summary["cumulative_bytes"]:
         raise StageError(f"{run}: ledger.csv totals {total_bytes} != summary "
                          f"{summary['cumulative_bytes']}")
@@ -347,6 +366,22 @@ def _ledger_sum_check(run: Path) -> dict:
         raise StageError(f"{run}: ledger.csv rounds {len(rounds)} != comm_count "
                          f"{summary['comm_count']}")
     return summary
+
+
+def _metrics_parts(path: Path, metrics: dict) -> list:
+    """The ``report`` and ``baselines`` objects and the ``edge_test_accuracy``
+    list of ``metrics`` (empty if absent or null); a StageError names the file
+    and the key of one that holds something else."""
+    parts = []
+    for key, kind in (("report", dict), ("baselines", dict), ("edge_test_accuracy", list)):
+        value = metrics.get(key)
+        value = kind() if value is None else value
+        if not isinstance(value, kind) or kind is list and not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            what = "a JSON object" if kind is dict else "a list of numbers"
+            raise StageError(f"{path}: {key!r} must be {what}, got {value!r}")
+        parts.append(value)
+    return parts
 
 
 def collect_report_rows(run_dirs) -> list:
@@ -359,9 +394,7 @@ def collect_report_rows(run_dirs) -> list:
                 continue
             metrics = _read_run_file(run / "metrics.json")
             summary = _ledger_sum_check(run) if (run / "ledger.json").exists() else {}
-            rep = metrics.get("report", {})
-            edge_acc = metrics.get("edge_test_accuracy") or []
-            base_line = metrics.get("baselines", {})
+            rep, base_line, edge_acc = _metrics_parts(run / "metrics.json", metrics)
             rows.append({
                 "run_dir": str(run),
                 "scenario": metrics.get("scenario"),

@@ -38,7 +38,7 @@ from .vae import Vae, fill, missing_slot_latents, train_vae
 
 SCENARIOS = ("S1", "S2", "S3")
 DEFAULT_LINK_RATE = 450e6      # bits per second
-DEFAULT_BYTES_PER_VALUE = 4
+BYTES_PER_VALUE = 4            # float32 embeddings
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class ScenarioConfig:
     ep_ens_d: Optional[int] = None       # S2 reuse divisor; S3 pins it to ep_ens
     batch_size: int = 128
     link_rate_bps: float = DEFAULT_LINK_RATE
-    bytes_per_value: int = DEFAULT_BYTES_PER_VALUE
     per_message_overhead_s: float = 0.0
 
     def __post_init__(self):
@@ -196,8 +195,7 @@ def _mb(nbytes: int) -> float:
 def account(config: ScenarioConfig, schedule: TransferSchedule, *,
             n_total: int, feature_width: int) -> ScenarioLedger:
     """Turn a schedule into bytes, simulated seconds, and storage peaks."""
-    per_value = config.bytes_per_value
-    bytes_per_row = feature_width * per_value
+    bytes_per_row = feature_width * BYTES_PER_VALUE
     n_edges = schedule.n_edges
 
     if schedule.scenario == "S1":

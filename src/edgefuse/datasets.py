@@ -173,17 +173,20 @@ def make_synthetic_classification(n: int, c: int, dims: int, seed,
 # Decile binning of regression targets
 # ---------------------------------------------------------------------------
 
-def decile_edges(train_targets: np.ndarray, n_bins: int = 10) -> np.ndarray:
-    """Equal-density bin edges from training targets (n_bins - 1 edges).
+N_BINS = 10          # deciles
+
+
+def decile_edges(train_targets: np.ndarray) -> np.ndarray:
+    """Equal-density bin edges from training targets (N_BINS - 1 edges).
 
     Duplicate edges caused by heavy ties are nudged to the next distinct
     target value so every bin stays addressable.
     """
     t = np.asarray(train_targets, dtype=np.float64)
     distinct = np.unique(t)
-    if len(distinct) < n_bins:
-        raise ValueError(f"fewer than {n_bins} distinct target values ({len(distinct)})")
-    edges = np.quantile(t, np.arange(1, n_bins) / n_bins)
+    if len(distinct) < N_BINS:
+        raise ValueError(f"fewer than {N_BINS} distinct target values ({len(distinct)})")
+    edges = np.quantile(t, np.arange(1, N_BINS) / N_BINS)
     for j in range(1, len(edges)):
         if edges[j] <= edges[j - 1]:
             nxt = distinct[distinct > edges[j - 1]]
@@ -196,18 +199,18 @@ def bin_targets(targets: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, np.asarray(targets, dtype=np.float64), side="left").astype(np.int64)
 
 
-def bin_regression_targets(train: Dataset, test: Dataset, n_bins: int = 10):
+def bin_regression_targets(train: Dataset, test: Dataset):
     """Return (train_view, test_view, edges) with targets replaced by decile
     bin ids computed on the training split only."""
     if train.task != "regression":
         raise ValueError("expected regression datasets")
     if len(train) == 0:
         raise ValueError("empty training split")
-    edges = decile_edges(train.labels, n_bins)
+    edges = decile_edges(train.labels)
     train_view = Dataset(inputs=train.inputs, labels=bin_targets(train.labels, edges),
-                         task="classification", n_classes=n_bins, split=train.split)
+                         task="classification", n_classes=N_BINS, split=train.split)
     test_view = Dataset(inputs=test.inputs, labels=bin_targets(test.labels, edges),
-                        task="classification", n_classes=n_bins, split=test.split)
+                        task="classification", n_classes=N_BINS, split=test.split)
     return train_view, test_view, edges
 
 

@@ -590,10 +590,10 @@ class SGD(_FlatOptimizer):
 
 class Adam(_FlatOptimizer):
     n_state = 2            # moments m, v
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr: float):
         super().__init__(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._scratch = np.empty(0)
 
     def _update(self, grad, steps, param, m, v) -> None:

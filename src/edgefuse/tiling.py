@@ -13,10 +13,13 @@ partial products over the shared dimension and then aggregate them in a
 fixed ascending order. Floating partials are computed and added in float64
 and rounded once to the result dtype, so a float32 product is the float64
 sum rounded once, whatever the factor; integer inputs stay integer and exact.
-``execute_plan`` runs a whole model forward+backward
-in duplicate-operate-aggregate style over logical lanes, with a stream audit
-verifying that each tile is produced once and consumed exactly as many times
-as it was duplicated. Dense and conv layers run from one table, ``KERNELS``,
+``execute_plan`` walks the model's layers once per pass over whole-batch
+activations, as ``nn.Model`` does. Lanes exist only inside a tiled (dense or
+conv) layer, which runs in duplicate-operate-aggregate style over (batch,
+output) lanes on slices of its input, with a stream audit verifying that each
+tile is produced once and consumed exactly as many times as it was
+duplicated. Every other layer is the model's own: ``layer.forward`` and
+``layer.backward``. Dense and conv layers run from one table, ``KERNELS``,
 keyed by layer kind: it names the weight axes that carry the input and output
 tiles and the bias-free partial forward and backward kernels of ``nn``, so one
 forward and one backward lane/audit loop serve both kinds. The bias is added
@@ -25,10 +28,10 @@ per output tile, and ``db`` comes from the first input tile's partial.
 Each pass lowers each input tile of a lane once per layer (a conv tile's
 im2col matrix) and reuses it for the partials of every output tile, as an
 accelerator keeps an input tile on chip while it visits the output tiles;
-the lowered tiles are dropped when the layer is done. The backward pass
-computes no input gradient for the first layer with parameters, since
-nothing reads it, and stops there, as ``nn.Model.backward(input_grad=False)``
-does in training.
+the lowered tiles are dropped when the lane is done with the layer. The
+backward pass computes no input gradient for the first layer with
+parameters, since nothing reads it, and stops there, as
+``nn.Model.backward(input_grad=False)`` does in training.
 """
 
 from __future__ import annotations
@@ -379,6 +382,9 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
 
     With ``targets``/``loss`` given, also backpropagates and returns weight
     gradients aggregated lane by lane in fixed ascending order.
+
+    Like any forward pass, it replaces the saved inputs of the model's untiled
+    layers: do not run it between a ``Model.forward`` and that ``backward``.
     """
     x = np.asarray(x, dtype=model.dtype)
     bsz = len(x)
@@ -390,52 +396,41 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
     batch_slices = _splits(bsz, plan.bs_f)
 
     # ---------------- forward ----------------
-    lane_acts = []          # per batch lane: list of layer inputs (for backward)
-    lane_pool = []          # per batch lane: {layer_index: argmax}
-    lane_outs = []
-    for bl, bsl in enumerate(batch_slices):
-        act = x[bsl]
-        acts = []
-        pools = {}
-        for li, (spec, layer) in enumerate(zip(model.specs, model.layers)):
-            acts.append(act)
-            if spec.kind in KERNELS:
-                kernel = KERNELS[spec.kind]
-                g, f = factors[li]
-                w, b = layer.params["w"], layer.params["b"]
-                in_slices = _splits(w.shape[kernel.in_axis], g)
-                out_slices = _splits(w.shape[kernel.out_axis], f)
-                cols = [kernel.lower(layer, act[:, isl]) for isl in in_slices]
-                outs = []
-                for ol, osl in enumerate(out_slices):
-                    lanes_by_layer.setdefault(li, set()).add((bl, ol))
-                    part = None
-                    for it, isl in enumerate(in_slices):
-                        if bl == 0:
-                            audit.produce((li, "w", it, ol))
-                            audit.duplicate((li, "w", it, ol), plan.bs_f)
-                        if ol == 0:
-                            audit.produce((li, "x", bl, it))
-                            audit.duplicate((li, "x", bl, it), f)
-                        audit.consume((li, "x", bl, it))
-                        audit.consume((li, "w", it, ol))
-                        p = kernel.forward(layer, act[:, isl], w[kernel.tile(isl, osl)], cols[it])
-                        part = p if part is None else part + p
-                    # the bias runs along the output axis 1 of the partial
-                    outs.append(part + b[osl].reshape((-1,) + (1,) * (part.ndim - 2)))
-                del cols   # lowered tiles live for their layer only
-                act = np.concatenate(outs, axis=1)
-            elif spec.kind == "relu":
-                act = nn.relu_forward(act)
-            elif spec.kind == "maxpool":
-                act, argmax = nn.maxpool2d_forward(act, layer.size)
-                pools[li] = argmax
-            elif spec.kind == "flatten":
-                act = act.reshape(act.shape[0], -1)
-        lane_acts.append(acts)
-        lane_pool.append(pools)
-        lane_outs.append(act)
-    outputs = np.concatenate(lane_outs, axis=0)
+    acts = []               # per layer: its whole-batch input (for backward)
+    act = x
+    for li, (spec, layer) in enumerate(zip(model.specs, model.layers)):
+        acts.append(act)
+        if spec.kind not in KERNELS:
+            act = layer.forward(act)
+            continue
+        kernel = KERNELS[spec.kind]
+        g, f = factors[li]
+        w, b = layer.params["w"], layer.params["b"]
+        in_slices = _splits(w.shape[kernel.in_axis], g)
+        out_slices = _splits(w.shape[kernel.out_axis], f)
+        out = np.empty((bsz,) + layer.out_shape, dtype=act.dtype)
+        for bl, bsl in enumerate(batch_slices):
+            xin = act[bsl]
+            cols = [kernel.lower(layer, xin[:, isl]) for isl in in_slices]
+            for ol, osl in enumerate(out_slices):
+                lanes_by_layer.setdefault(li, set()).add((bl, ol))
+                part = None
+                for it, isl in enumerate(in_slices):
+                    if bl == 0:
+                        audit.produce((li, "w", it, ol))
+                        audit.duplicate((li, "w", it, ol), plan.bs_f)
+                    if ol == 0:
+                        audit.produce((li, "x", bl, it))
+                        audit.duplicate((li, "x", bl, it), f)
+                    audit.consume((li, "x", bl, it))
+                    audit.consume((li, "w", it, ol))
+                    p = kernel.forward(layer, xin[:, isl], w[kernel.tile(isl, osl)], cols[it])
+                    part = p if part is None else part + p
+                # the bias runs along the output axis 1 of the partial
+                out[bsl, osl] = part + b[osl].reshape((-1,) + (1,) * (part.ndim - 2))
+            del cols   # lowered tiles live for their lane's layer only
+        act = out
+    outputs = act
     lanes = {k: len(v) for k, v in lanes_by_layer.items()}
 
     if targets is None or loss is None:
@@ -443,58 +438,46 @@ def execute_plan(plan: TilingPlan, model: nn.Model, x: np.ndarray,
         return TiledRunResult(outputs=outputs, loss=None, grads=[], audit=audit,
                               lanes_by_layer=lanes)
 
-    loss_val, dout = nn.loss_grad(outputs, targets, loss, n_classes)
+    loss_val, d = nn.loss_grad(outputs, targets, loss, n_classes)
 
     # ---------------- backward ----------------
     grads: dict = {}
-    lane_dout = [dout[bsl] for bsl in batch_slices]
     # nothing reads the input gradient of the first layer with parameters,
     # nor anything below it
     first = min(factors, default=len(model.layers))
     for li in reversed(range(first, len(model.layers))):
         spec, layer = model.specs[li], model.layers[li]
-        if spec.kind in KERNELS:
-            kernel = KERNELS[spec.kind]
-            input_grad = li > first
-            g, f = factors[li]
-            w = layer.params["w"]
-            in_slices = _splits(w.shape[kernel.in_axis], g)
-            out_slices = _splits(w.shape[kernel.out_axis], f)
-            dw = np.zeros_like(w)
-            db = np.zeros_like(layer.params["b"])
-            new_dout = []
-            for bl in range(plan.bs_f):
-                xin = lane_acts[bl][li]
-                dy = lane_dout[bl]
-                cols = [kernel.lower(layer, xin[:, isl]) for isl in in_slices]
-                dx = np.zeros_like(xin) if input_grad else None
-                for ol, osl in enumerate(out_slices):
-                    for it, isl in enumerate(in_slices):
-                        audit.produce((li, "dw-part", bl, it, ol))
-                        audit.duplicate((li, "dw-part", bl, it, ol), 1)
-                        audit.consume((li, "dw-part", bl, it, ol))
-                        wt = kernel.tile(isl, osl)
-                        dxp, dwp, dbp = kernel.backward(layer, xin[:, isl], w[wt], dy[:, osl],
-                                                        input_grad, cols[it])
-                        dw[wt] += dwp
-                        if input_grad:
-                            dx[:, isl] += dxp
-                        if it == 0:
-                            db[osl] += dbp
-                del cols
-                new_dout.append(dx)
-            grads[li] = {"w": dw, "b": db}
-            lane_dout = new_dout
-        elif spec.kind == "relu":
-            lane_dout = [nn.relu_backward(lane_acts[bl][li], lane_dout[bl])
-                         for bl in range(plan.bs_f)]
-        elif spec.kind == "maxpool":
-            lane_dout = [nn.maxpool2d_backward(lane_dout[bl], lane_pool[bl][li],
-                                               lane_acts[bl][li].shape, layer.size)
-                         for bl in range(plan.bs_f)]
-        elif spec.kind == "flatten":
-            lane_dout = [lane_dout[bl].reshape(lane_acts[bl][li].shape)
-                         for bl in range(plan.bs_f)]
+        if spec.kind not in KERNELS:
+            d = layer.backward(d)
+            continue
+        kernel = KERNELS[spec.kind]
+        input_grad = li > first
+        g, f = factors[li]
+        w = layer.params["w"]
+        in_slices = _splits(w.shape[kernel.in_axis], g)
+        out_slices = _splits(w.shape[kernel.out_axis], f)
+        dw = np.zeros_like(w)
+        db = np.zeros_like(layer.params["b"])
+        dx = np.zeros_like(acts[li]) if input_grad else None
+        for bl, bsl in enumerate(batch_slices):
+            xin, dy = acts[li][bsl], d[bsl]
+            cols = [kernel.lower(layer, xin[:, isl]) for isl in in_slices]
+            for ol, osl in enumerate(out_slices):
+                for it, isl in enumerate(in_slices):
+                    audit.produce((li, "dw-part", bl, it, ol))
+                    audit.duplicate((li, "dw-part", bl, it, ol), 1)
+                    audit.consume((li, "dw-part", bl, it, ol))
+                    wt = kernel.tile(isl, osl)
+                    dxp, dwp, dbp = kernel.backward(layer, xin[:, isl], w[wt], dy[:, osl],
+                                                    input_grad, cols[it])
+                    dw[wt] += dwp
+                    if input_grad:
+                        dx[bsl, isl] += dxp
+                    if it == 0:
+                        db[osl] += dbp
+            del cols
+        grads[li] = {"w": dw, "b": db}
+        d = dx
     audit.verify()
     return TiledRunResult(outputs=outputs, loss=loss_val, audit=audit, lanes_by_layer=lanes,
                           grads=[(li, name, grads[li][name]) for li, name, _ in model.parameters()])

@@ -338,12 +338,24 @@ def _after_partition(tmp_path, edit):
     return ["train-edges", *argv[1:]]
 
 
-def _report_on(tmp_path, metrics_text):
+def _edited_indices(edit):
+    """train-edges on a run whose partition.json train index lists went through ``edit``."""
+    return lambda tmp: _after_partition(tmp, lambda text: json.dumps(
+        {**json.loads(text), "train_indices": edit(json.loads(text)["train_indices"])}))
+
+
+def _report_on(tmp_path, metrics_text, **ledger_files):
+    """report on a hand-made run; ``ledger_json``/``ledger_csv`` give those files' text."""
     run = tmp_path / "run"
     run.mkdir()
     (run / "config.json").write_text("{}")
     (run / "metrics.json").write_text(metrics_text)
+    for name, text in ledger_files.items():
+        (run / name.replace("_", ".")).write_text(text)
     return ["report", "--runs", str(run)]
+
+
+LEDGER_JSON = '{"cumulative_bytes": 10, "comm_count": 1}'
 
 
 BAD_INPUTS = {
@@ -402,6 +414,26 @@ BAD_INPUTS = {
                                       if k != "train_indices"})),
         "partition.json: missing key 'train_indices'"),
     "truncated metrics": (lambda tmp: _report_on(tmp, '{"'), "metrics.json"),
+    "report not an object": (lambda tmp: _report_on(tmp, '{"report": [1, 2]}'),
+                             "metrics.json: 'report' must be a JSON object"),
+    "edge accuracy not a list": (lambda tmp: _report_on(tmp, '{"edge_test_accuracy": 3}'),
+                                 "metrics.json: 'edge_test_accuracy'"),
+    "ledger.csv without bytes": (lambda tmp: _report_on(
+        tmp, "{}", ledger_json=LEDGER_JSON, ledger_csv="round,edge\n0,0\n"),
+        "ledger.csv: missing column 'bytes'"),
+    "ledger.csv bytes not a number": (lambda tmp: _report_on(
+        tmp, "{}", ledger_json=LEDGER_JSON, ledger_csv="round,edge,bytes\n0,0,ten\n"),
+        "ledger.csv: line 2: bytes 'ten' and round '0'"),
+    "ledger.json without ledger.csv": (lambda tmp: _report_on(tmp, "{}", ledger_json=LEDGER_JSON),
+                                       "ledger.csv: cannot read"),
+    "index past the split": (_edited_indices(lambda ix: [[99999] + ix[0][1:]] + ix[1:]),
+                             "partition.json: 'train_indices' of edge 0"),
+    "too few index lists": (_edited_indices(lambda ix: ix[:1]),
+                            "partition.json: 'train_indices' must hold 2 lists"),
+    "index list a string": (_edited_indices(lambda ix: [ix[0], "abc"]),
+                            "partition.json: 'train_indices' of edge 1"),
+    "negative index": (_edited_indices(lambda ix: [ix[0], [-1] + ix[1][1:]]),
+                       "partition.json: 'train_indices' of edge 1"),
 }
 
 

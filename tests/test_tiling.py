@@ -372,8 +372,9 @@ class _Spy:
     ([nn.dense(8), nn.relu(), nn.dense(6), nn.relu(), nn.dense(10)], (12,), [4, 2, 2]),
 ])
 def test_execute_plan_skips_unread_work(monkeypatch, specs, input_shape, factors):
-    """No input gradient for layer 0, and one lowering per (lane, conv layer,
-    input tile) per pass."""
+    """No input gradient for layer 0, one lowering per (lane, conv layer,
+    input tile) per pass, and each untiled layer once per pass on the whole
+    batch."""
     m = nn.Model(specs, input_shape, seed=3)
     rng = np.random.default_rng(18)
     x = rng.random((8,) + input_shape, dtype=np.float32)
@@ -381,6 +382,17 @@ def test_execute_plan_skips_unread_work(monkeypatch, specs, input_shape, factors
     plan = plan_tiling(request_from_model(m, factors, bs=8, bs_f=4, c_f=1))
     backward = [_Spy(monkeypatch, "conv2d_backward"), _Spy(monkeypatch, "dense_backward")]
     im2col = _Spy(monkeypatch, "_im2col")
+    untiled = {name: _Spy(monkeypatch, name) for name in
+               ("relu_forward", "relu_backward", "maxpool2d_forward", "maxpool2d_backward")}
+    relus, pools = (sum(spec.kind == kind for spec in specs) for kind in ("relu", "maxpool"))
+
+    def untiled_calls():   # calls per untiled kernel since the last look, each on the batch
+        assert all(len(next(iter(c.values()))) == len(x) for spy in untiled.values()
+                   for c in spy.calls)
+        counts = {name: len(spy.calls) for name, spy in untiled.items()}
+        for spy in untiled.values():
+            spy.calls.clear()
+        return counts
 
     def lowered_tiles():   # how often each distinct input tile was lowered
         return Counter((c["x"].__array_interface__["data"][0], c["x"].shape, c["x"].strides)
@@ -389,9 +401,13 @@ def test_execute_plan_skips_unread_work(monkeypatch, specs, input_shape, factors
     tiles = sum(plan.bs_f * e.consumed_factor for e in plan.entries if e.kind == "conv")
     execute_plan(plan, m, x)
     assert len(im2col.calls) == tiles and set(lowered_tiles().values()) <= {1}
+    assert untiled_calls() == {"relu_forward": relus, "relu_backward": 0,
+                               "maxpool2d_forward": pools, "maxpool2d_backward": 0}
     im2col.calls.clear()
     execute_plan(plan, m, x, y, loss="cross_entropy", n_classes=10)
     assert len(im2col.calls) == 2 * tiles and set(lowered_tiles().values()) <= {2}
+    assert untiled_calls() == {"relu_forward": relus, "relu_backward": relus,
+                               "maxpool2d_forward": pools, "maxpool2d_backward": pools}
     calls = [c for spy in backward for c in spy.calls]
     first = [c["input_grad"] for c in calls if np.shares_memory(c["x"], x)]
     later = [c["input_grad"] for c in calls if not np.shares_memory(c["x"], x)]
