@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -28,14 +28,6 @@ _DATASET_KEYS = {
                   "separation": float},
     "idx": {"train_images": str, "train_labels": str, "test_images": str, "test_labels": str},
     "csv": {"train_path": str, "test_path": str, "target_column": str},
-}
-
-_SCENARIO_KEYS = {"name", "ep_ens_d", "batch_size", "link_rate_bps", "per_message_overhead_s"}
-
-_TOP_KEYS = {
-    "dataset", "task", "n_edges", "l_com", "alpha", "delta", "scenario",
-    "edge_epoch_range", "edge_lr", "edge_batch_size", "ep_vae", "ep_ens",
-    "ens_lr", "fill_policy", "seed", "output_dir",
 }
 
 
@@ -56,18 +48,24 @@ def is_integer(value) -> bool:
             and (isinstance(value, numbers.Integral) or float(value).is_integer()))
 
 
-# value kind -> (its name in errors, its check)
+def _int_pair(value) -> tuple:
+    return tuple(int(v) for v in value)
+
+
+# value kind, which also converts a checked value -> (its name in errors, its check)
 _KINDS = {int: ("an integer", is_integer),
           float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
           str: ("a string", lambda v: isinstance(v, str)),
-          dict: ("a JSON object", lambda v: isinstance(v, dict))}
+          dict: ("a JSON object", lambda v: isinstance(v, dict)),
+          _int_pair: ("a list of two integers", lambda v: isinstance(v, (list, tuple))
+                      and len(v) == 2 and all(is_integer(x) for x in v))}
 _REQUIRED = object()
 
 
 def _checked(d: dict, key: str, kind, where: str = "", default=_REQUIRED):
-    """``d[key]`` (``default`` if absent) as ``kind``: int, float, str or
-    dict. A ConfigError names the key if it is missing or holds another kind;
-    a bool is no number, an integer may be written as an integral float, and
+    """``d[key]`` (``default`` if absent) as ``kind``, a key of ``_KINDS``.
+    A ConfigError names the key if it is missing or holds another kind; a
+    bool is no number, an integer may be written as an integral float, and
     only a key whose default is None may hold null."""
     if key not in d:
         if default is _REQUIRED:
@@ -80,28 +78,36 @@ def _checked(d: dict, key: str, kind, where: str = "", default=_REQUIRED):
     return None if value is None else kind(value)
 
 
+def _doc(path: str, kind, default=_REQUIRED):
+    """A field read from document key ``path`` (``scenario.name``: ``name`` in
+    the ``scenario`` object; ``obj`` is "" at the top) as ``kind``, ``default``
+    if absent."""
+    obj, _, key = path.rpartition(".")
+    return field(metadata={"obj": obj, "key": key, "kind": kind, "default": default})
+
+
 @dataclass
 class ExperimentConfig:
-    dataset: dict
-    task: str
-    n_edges: int
-    alpha: float
-    delta: float
-    seed: int
-    output_dir: str
-    l_com: int = 64
-    scenario_name: str = "S1"
-    ep_ens_d: Optional[int] = None
-    batch_size: int = 128
-    link_rate_bps: float = 450e6
-    per_message_overhead_s: float = 0.0
-    edge_epoch_range: tuple = (30, 30)
-    edge_lr: float = 1e-4
-    edge_batch_size: int = 32
-    ep_vae: int = 50
-    ep_ens: int = 100
-    ens_lr: float = 1e-4
-    fill_policy: str = "vae"
+    dataset: dict = _doc("dataset", dict)
+    task: str = _doc("task", str)
+    n_edges: int = _doc("n_edges", int)
+    l_com: int = _doc("l_com", int, 64)
+    alpha: float = _doc("alpha", float)
+    delta: float = _doc("delta", float)
+    scenario_name: str = _doc("scenario.name", str, "S1")
+    ep_ens_d: Optional[int] = _doc("scenario.ep_ens_d", int, None)
+    batch_size: int = _doc("scenario.batch_size", int, 128)
+    link_rate_bps: float = _doc("scenario.link_rate_bps", float, 450e6)
+    per_message_overhead_s: float = _doc("scenario.per_message_overhead_s", float, 0.0)
+    edge_epoch_range: tuple = _doc("edge_epoch_range", _int_pair, (30, 30))
+    edge_lr: float = _doc("edge_lr", float, 1e-4)
+    edge_batch_size: int = _doc("edge_batch_size", int, 32)
+    ep_vae: int = _doc("ep_vae", int, 50)
+    ep_ens: int = _doc("ep_ens", int, 100)
+    ens_lr: float = _doc("ens_lr", float, 1e-4)
+    fill_policy: str = _doc("fill_policy", str, "vae")
+    seed: int = _doc("seed", int)
+    output_dir: str = _doc("output_dir", str)
 
     def __post_init__(self):
         if self.task not in ("classification", "regression"):
@@ -138,37 +144,26 @@ class ExperimentConfig:
     # -- (de)serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": dict(self.dataset),
-            "task": self.task,
-            "n_edges": self.n_edges,
-            "l_com": self.l_com,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "scenario": {
-                "name": self.scenario_name,
-                "ep_ens_d": self.ep_ens_d,
-                "batch_size": self.batch_size,
-                "link_rate_bps": self.link_rate_bps,
-                "per_message_overhead_s": self.per_message_overhead_s,
-            },
-            "edge_epoch_range": list(self.edge_epoch_range),
-            "edge_lr": self.edge_lr,
-            "edge_batch_size": self.edge_batch_size,
-            "ep_vae": self.ep_vae,
-            "ep_ens": self.ep_ens,
-            "ens_lr": self.ens_lr,
-            "fill_policy": self.fill_policy,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        doc = {"scenario": {}}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (dict, tuple)):      # a copy of the dataset; a pair as a list
+                value = dict(value) if isinstance(value, dict) else list(value)
+            obj = f.metadata["obj"]
+            (doc[obj] if obj else doc)[f.metadata["key"]] = value
+        return doc
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        _check_keys(d, _TOP_KEYS, "config")
-        ds = _checked(d, "dataset", dict)
+        meta = {f.name: f.metadata for f in fields(ExperimentConfig)}
+        _check_keys(d, {m["obj"] or m["key"] for m in meta.values()}, "config")
+        docs = {"": d, "scenario": _checked(d, "scenario", dict, default={})}
+        _check_keys(docs["scenario"], {m["key"] for m in meta.values() if m["obj"]}, "scenario")
+        values = {name: _checked(docs[m["obj"]], m["key"], m["kind"], m["obj"] and m["obj"] + ".",
+                                 m["default"]) for name, m in meta.items()}
+        ds = values["dataset"]
         kind = ds.get("kind")
         if kind not in _DATASET_KEYS:
             raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}")
@@ -176,34 +171,7 @@ class ExperimentConfig:
         for key, value_kind in _DATASET_KEYS[kind].items():   # stored as written: same hash
             if key in ds or key != "separation":
                 _checked(ds, key, value_kind, "dataset.")
-        sc = _checked(d, "scenario", dict, default={})
-        _check_keys(sc, _SCENARIO_KEYS, "scenario")
-        rng_range = d.get("edge_epoch_range", [30, 30])
-        if not (isinstance(rng_range, (list, tuple)) and len(rng_range) == 2
-                and all(is_integer(v) for v in rng_range)):
-            raise ConfigError(f"edge_epoch_range must be a list of two integers, got {rng_range!r}")
-        return ExperimentConfig(
-            dataset=ds,
-            task=_checked(d, "task", str),
-            n_edges=_checked(d, "n_edges", int),
-            l_com=_checked(d, "l_com", int, default=64),
-            alpha=_checked(d, "alpha", float),
-            delta=_checked(d, "delta", float),
-            scenario_name=_checked(sc, "name", str, "scenario.", "S1"),
-            ep_ens_d=_checked(sc, "ep_ens_d", int, "scenario.", None),
-            batch_size=_checked(sc, "batch_size", int, "scenario.", 128),
-            link_rate_bps=_checked(sc, "link_rate_bps", float, "scenario.", 450e6),
-            per_message_overhead_s=_checked(sc, "per_message_overhead_s", float, "scenario.", 0.0),
-            edge_epoch_range=tuple(int(v) for v in rng_range),
-            edge_lr=_checked(d, "edge_lr", float, default=1e-4),
-            edge_batch_size=_checked(d, "edge_batch_size", int, default=32),
-            ep_vae=_checked(d, "ep_vae", int, default=50),
-            ep_ens=_checked(d, "ep_ens", int, default=100),
-            ens_lr=_checked(d, "ens_lr", float, default=1e-4),
-            fill_policy=_checked(d, "fill_policy", str, default="vae"),
-            seed=_checked(d, "seed", int),
-            output_dir=_checked(d, "output_dir", str),
-        )
+        return ExperimentConfig(**values)
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":

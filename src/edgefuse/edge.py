@@ -117,7 +117,6 @@ def random_edge_config(task: str, input_shape, seed, *, n_classes: Optional[int]
 class EdgeArtifact:
     config: EdgeModelConfig
     model: nn.Model
-    tap_index: int
     loss_trace: list
     epochs_run: int
     n_train: int
@@ -126,6 +125,11 @@ class EdgeArtifact:
     @property
     def feature_width(self) -> int:
         return self.config.feature_width
+
+    @property
+    def tap_index(self) -> int:
+        """Index of the layer whose activations are the embeddings."""
+        return embedding_tap_index(self.config.specs, self.config.feature_width)
 
     def param_count(self) -> int:
         return self.model.param_count()
@@ -146,7 +150,6 @@ def train_edge(config: EdgeModelConfig, dataset: Dataset, train_indices) -> Edge
     if idx.size == 0:
         raise ValueError("empty edge assignment")
     model = build_edge_model(config)
-    tap = embedding_tap_index(config.specs, config.feature_width)
     x = dataset.inputs[idx]
     y = np.asarray(dataset.labels)[idx]
     opt = nn.SGD(config.lr)
@@ -154,8 +157,8 @@ def train_edge(config: EdgeModelConfig, dataset: Dataset, train_indices) -> Edge
     trace = nn.fit(model, x, y, loss=config.loss, optimizer=opt,
                    epochs=config.epochs, batch_size=config.batch_size,
                    rng=rng, n_classes=config.n_classes)
-    art = EdgeArtifact(config=config, model=model, tap_index=tap,
-                       loss_trace=trace, epochs_run=config.epochs, n_train=int(idx.size))
+    art = EdgeArtifact(config=config, model=model, loss_trace=trace,
+                       epochs_run=config.epochs, n_train=int(idx.size))
     if config.task == "classification":
         art.train_accuracy = edge_accuracy(art, dataset, idx)
     return art

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import nn
-from .edge import EdgeArtifact, EdgeModelConfig, build_edge_model, embedding_tap_index
+from .edge import EdgeArtifact, EdgeModelConfig, build_edge_model
 from .vae import Vae
 
 FORMAT_VERSION = 1
@@ -58,8 +58,9 @@ def save_artifact(path, kind: str, arrays: dict, meta: dict) -> None:
         np.savez(f, **payload)
 
 
-def load_artifact(path, kind: str, config_hash: Optional[str] = None):
-    """Return (arrays, meta) after validating version, kind, and config hash."""
+def load_artifact(path, kind: str, config_hash: Optional[str] = None, keys=()):
+    """Return (arrays, meta) after validating version, kind, and config hash;
+    an ArtifactError names the file and the first of ``keys`` its header lacks."""
     p = Path(path)
     if not p.exists():
         raise ArtifactError(f"missing artifact file: {p}")
@@ -77,7 +78,19 @@ def load_artifact(path, kind: str, config_hash: Optional[str] = None):
         raise ArtifactError(f"{p}: artifact kind {meta.get('kind')!r}, expected {kind!r}")
     if config_hash is not None and meta.get("config_hash") != config_hash:
         raise ArtifactError(f"{p}: config hash mismatch (stage artifacts are stale)")
+    for key in keys:
+        if key not in meta:
+            raise ArtifactError(f"{p}: header lacks key {key!r}")
     return arrays, meta
+
+
+def _set_weights(path, module: nn.Module, arrays: dict) -> None:
+    """``module.set_parameters(arrays)``; an ArtifactError names the file and
+    the missing array or the shape that does not match."""
+    try:
+        module.set_parameters(arrays)
+    except (KeyError, nn.ShapeMismatchError) as exc:
+        raise ArtifactError(f"{path}: {exc.args[0]}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +122,9 @@ def save_edge_artifact(path, artifact: EdgeArtifact, config_hash: str, edge_inde
 
 
 def load_edge_artifact(path, config_hash: Optional[str] = None) -> EdgeArtifact:
-    arrays, meta = load_artifact(path, "edge", config_hash)
+    arrays, meta = load_artifact(path, "edge", config_hash, (
+        "task", "specs", "input_shape", "epochs", "feature_width", "seed", "n_classes", "lr",
+        "batch_size", "loss_trace", "epochs_run", "n_train"))
     cfg = EdgeModelConfig(
         task=meta["task"],
         specs=tuple(nn.LayerSpec.from_dict(d) for d in meta["specs"]),
@@ -122,11 +137,10 @@ def load_edge_artifact(path, config_hash: Optional[str] = None) -> EdgeArtifact:
         batch_size=meta["batch_size"],
     )
     model = build_edge_model(cfg)
-    model.set_parameters(arrays)
-    return EdgeArtifact(config=cfg, model=model,
-                        tap_index=embedding_tap_index(cfg.specs, cfg.feature_width),
-                        loss_trace=meta["loss_trace"], epochs_run=meta["epochs_run"],
-                        n_train=meta["n_train"], train_accuracy=meta.get("train_accuracy"))
+    _set_weights(path, model, arrays)
+    return EdgeArtifact(config=cfg, model=model, loss_trace=meta["loss_trace"],
+                        epochs_run=meta["epochs_run"], n_train=meta["n_train"],
+                        train_accuracy=meta.get("train_accuracy"))
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +149,28 @@ def load_edge_artifact(path, config_hash: Optional[str] = None) -> EdgeArtifact:
 
 def save_vae_artifact(path, vae: Vae, config_hash: str, edge_index: int,
                       loss_trace=None) -> None:
+    """Save a stack of one VAE: its arrays without the member axis."""
     meta = {
         "config_hash": config_hash,
         "edge_index": edge_index,
         "feature_width": vae.feature_width,
         "latent_dim": vae.latent_dim,
         "hidden": vae.hidden,
-        "seed": vae.seed,
-        "steps_run": vae.steps_run,
+        "seed": vae.seed[0],
+        "steps_run": int(vae.steps_run[0]),
         "loss_trace": [float(v) for v in (loss_trace or [])],
         "param_count": vae.param_count(),
     }
-    save_artifact(path, "vae", vae.get_parameters(), meta)
+    save_artifact(path, "vae", {k: p[0] for k, p in vae.get_parameters().items()}, meta)
 
 
 def load_vae_artifact(path, config_hash: Optional[str] = None) -> Vae:
-    arrays, meta = load_artifact(path, "vae", config_hash)
+    arrays, meta = load_artifact(path, "vae", config_hash,
+                                 ("feature_width", "latent_dim", "hidden", "seed", "steps_run"))
     vae = Vae(feature_width=meta["feature_width"], latent_dim=meta["latent_dim"],
               hidden=meta["hidden"], seed=meta["seed"])
-    vae.set_parameters(arrays)
-    vae.steps_run = meta["steps_run"]
+    _set_weights(path, vae, {k: a[None] for k, a in arrays.items()})
+    vae.steps_run[0] = meta["steps_run"]
     return vae
 
 
@@ -175,8 +191,8 @@ def save_ensemble_artifact(path, model: nn.Model, config_hash: str, meta_extra: 
 
 
 def load_ensemble_artifact(path, config_hash: Optional[str] = None):
-    arrays, meta = load_artifact(path, "ensemble", config_hash)
+    arrays, meta = load_artifact(path, "ensemble", config_hash, ("specs", "input_shape", "seed"))
     specs = tuple(nn.LayerSpec.from_dict(d) for d in meta["specs"])
     model = nn.Model(specs, tuple(meta["input_shape"]), seed=meta["seed"])
-    model.set_parameters(arrays)
+    _set_weights(path, model, arrays)
     return model, meta

@@ -6,9 +6,9 @@ dense(64) -> dense(feature width). Trained with the reparameterization trick
 (z = mu + sigma * eps) under squared reconstruction error plus the closed
 form KL divergence to a standard normal, using Adam.
 
-A streaming run holds its N VAEs as one ``Vae`` stacked along a leading
-member axis (weights (N, in, out) in one (N, P) ``nn.Module`` buffer), so a
-round is one masked ``train_step`` and one ``decode`` for every edge.
+Every ``Vae`` is a stack along a leading member axis (weights (N, in, out) in
+one (N, P) ``nn.Module`` buffer). One edge's VAE is a stack of one; a streaming
+run's N VAEs are one stack, so a round is one ``train_step`` and one ``decode``.
 
 Filling takes the server's stacked (n, N, width) float32 matrix and its (n, N)
 mask of received slots. The latents of its missing slots are one (N, n, latent)
@@ -36,11 +36,11 @@ def _kl_terms(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
 
 
 class Vae(nn.Module):
-    """One VAE with persistent Adam state so it can train full-batch runs or
-    incrementally, one received mini-batch at a time.
+    """A stack of VAEs with persistent Adam state so it can train full-batch
+    runs or incrementally, one received mini-batch at a time.
 
-    With ``seed`` a sequence of N seeds, a stack of N members: member k
-    starts as ``Vae(..., seed=seed[k])`` and ``steps_run`` is per member.
+    ``seed`` is a sequence of N seeds, or one seed for a stack of one: member
+    k starts as ``Vae(..., seed=seed[k])`` and ``steps_run`` is per member.
     """
 
     def __init__(self, feature_width: int, latent_dim: int = LATENT_DIM,
@@ -49,25 +49,24 @@ class Vae(nn.Module):
         self.latent_dim = latent_dim
         self.hidden = hidden
         self.dtype = np.dtype(dtype).type
-        stacked = np.ndim(seed) > 0
-        self.seed = tuple(seed) if stacked else seed
-        self.members = len(self.seed) if stacked else None
-        rngs = [np.random.default_rng(derived_seed(s, "vae-weights")) for s in np.atleast_1d(seed)]
-        self.layers = [nn.Dense(i, o, rngs if stacked else rngs[0], self.dtype) for i, o in (
+        self.seed = tuple(seed) if np.ndim(seed) > 0 else (seed,)
+        self.members = len(self.seed)
+        rngs = [np.random.default_rng(derived_seed(s, "vae-weights")) for s in self.seed]
+        self.layers = [nn.Dense(i, o, rngs, self.dtype) for i, o in (
             (feature_width, hidden), (hidden, latent_dim), (hidden, latent_dim),
             (latent_dim, hidden), (hidden, feature_width))]
         self.enc_hidden, self.enc_mu, self.enc_logvar, self.dec_hidden, self.dec_out = self.layers
         self._bind()
         self.optimizer = nn.Adam(lr)
-        self.steps_run = np.zeros(len(rngs), dtype=np.int64) if stacked else 0
+        self.steps_run = np.zeros(self.members, dtype=np.int64)
 
     def member(self, k: int) -> "Vae":
-        """Member ``k`` as a plain VAE on views of its weights (its step count
-        copied, its Adam state fresh)."""
+        """Member ``k`` as a stack of one on views of its weights (its step
+        count copied, its Adam state fresh)."""
         vae = Vae(self.feature_width, self.latent_dim, self.hidden, seed=self.seed[k],
                   lr=self.optimizer.lr, dtype=self.dtype)
         vae._bind(self.flat[k:k + 1])
-        vae.steps_run = int(self.steps_run[k])
+        vae.steps_run = self.steps_run[k:k + 1].copy()
         return vae
 
     # -- pieces -------------------------------------------------------------
@@ -80,29 +79,26 @@ class Vae(nn.Module):
         return mu, logvar, (h, a)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        """Latents (B, latent) to embeddings; a stack maps (N, B, latent)."""
+        """Latents (N, B, latent) to embeddings (N, B, width)."""
         h = self.dec_hidden.forward(np.asarray(z, dtype=self.dtype))
         a = nn.relu_forward(h)
         return self.dec_out.forward(a)
 
     # -- training -----------------------------------------------------------
 
-    def loss_and_grads(self, x: np.ndarray, eps: np.ndarray, counts=None):
-        """Compute the loss for a batch with the given (frozen) noise and fill
-        every layer's grads. Returns (total, reconstruction, kl).
+    def loss_and_grads(self, x: np.ndarray, eps: np.ndarray, counts):
+        """Compute the per-member losses for a batch with the given (frozen)
+        noise and fill every layer's grads. Returns (total, reconstruction, kl).
 
-        A stack takes x (N, B, width) and eps (N, B, latent): member k's batch
-        is its first ``counts[k]`` rows, the rest is ignored padding. Losses
-        are then per member, averaged over its own rows (0 if it has none).
+        x is (N, B, width) and eps (N, B, latent): member k's batch is its
+        first ``counts[k]`` rows, the rest is ignored padding. Each loss is
+        averaged over the member's own rows (0 if it has none).
         """
         x = np.asarray(x, dtype=self.dtype)
-        n = rows = x.shape[0]
-        keep = None
-        if counts is not None:
-            n = np.maximum(counts, 1).astype(self.dtype)
-            rows = n[:, None, None]
-            keep = (np.arange(x.shape[1]) < np.asarray(counts)[:, None])[..., None]
-            x = np.where(keep, x, 0)            # padding of any value stays finite
+        n = np.maximum(counts, 1).astype(self.dtype)
+        rows = n[:, None, None]
+        keep = (np.arange(x.shape[1]) < np.asarray(counts)[:, None])[..., None]
+        x = np.where(keep, x, 0)                # padding of any value stays finite
         mu, logvar, (h_enc, a_enc) = self.encode(x)
         sigma = np.exp(0.5 * logvar)
         z = mu + sigma * eps.astype(self.dtype, copy=False)
@@ -112,9 +108,8 @@ class Vae(nn.Module):
 
         diff = xhat - x
         kl_terms = _kl_terms(mu, logvar)
-        if keep is not None:
-            diff *= keep
-            kl_terms *= keep
+        diff *= keep
+        kl_terms *= keep
         recon = np.float64((diff * diff).sum(axis=-1).sum(axis=-1) / n)
         kl = np.float64(kl_terms.sum(axis=-1).sum(axis=-1) / n)
         total = recon + kl
@@ -129,33 +124,28 @@ class Vae(nn.Module):
         # reparameterization + KL head gradients
         dmu = dz + mu / rows
         dlogvar = dz * eps * 0.5 * sigma + 0.5 * (np.exp(logvar) - 1.0) / rows
-        if keep is not None:
-            dmu *= keep
-            dlogvar *= keep
+        dmu *= keep
+        dlogvar *= keep
         da_mu = self.enc_mu.backward(dmu.astype(self.dtype, copy=False))
         da_lv = self.enc_logvar.backward(dlogvar.astype(self.dtype, copy=False))
         dh_enc = nn.relu_backward(h_enc, da_mu + da_lv)
         self.enc_hidden.backward(dh_enc, input_grad=False)
         return total, recon, kl
 
-    def train_step(self, x: np.ndarray, rng, counts=None):
-        """One Adam step; returns the loss. A stack takes x and ``counts`` as
-        ``loss_and_grads`` does and draws member k's noise from ``rng[k]`` as
-        a plain VAE on its rows would; a member with no rows gets a NaN loss
-        and keeps its weights, Adam state and step count."""
-        if counts is None:
-            eps = rng.standard_normal((len(x), self.latent_dim))
-            active = True
-        else:
-            eps = np.zeros(x.shape[:2] + (self.latent_dim,))
-            for k in np.flatnonzero(counts):
-                eps[k, :counts[k]] = rng[k].standard_normal((counts[k], self.latent_dim))
-            active = np.asarray(counts) > 0
+    def train_step(self, x: np.ndarray, rng, counts):
+        """One Adam step; returns the per-member losses. Takes x and ``counts``
+        as ``loss_and_grads`` does and draws member k's noise from ``rng[k]``;
+        a member with no rows gets a NaN loss and keeps its weights, Adam state
+        and step count."""
+        eps = np.zeros(x.shape[:2] + (self.latent_dim,))
+        for k in np.flatnonzero(counts):
+            eps[k, :counts[k]] = rng[k].standard_normal((counts[k], self.latent_dim))
+        active = np.asarray(counts) > 0
         total = self.loss_and_grads(x, eps, counts)[0]
         if np.any(active):
-            self.optimizer.step(self, None if counts is None else active)
+            self.optimizer.step(self, active)
         self.steps_run += active
-        return total if counts is None else np.where(active, total, np.nan)
+        return np.where(active, total, np.nan)
 
 
 def train_vae(embeddings: np.ndarray, epochs: int, seed, *, lr: float = 1e-4,
@@ -166,8 +156,8 @@ def train_vae(embeddings: np.ndarray, epochs: int, seed, *, lr: float = 1e-4,
         raise ValueError(f"embeddings must be a nonempty (n, width) matrix, got {emb.shape}")
     vae = Vae(feature_width=emb.shape[1], latent_dim=latent_dim, seed=seed, lr=lr)
     rng = rng_from(seed, "vae-train")       # reshuffles and noise draws share it
-    trace = nn.minibatch_epochs(len(emb), epochs, batch_size, rng,
-                                lambda idx, epoch: vae.train_step(emb[idx], rng))
+    trace = nn.minibatch_epochs(len(emb), epochs, batch_size, rng, lambda idx, epoch: vae.train_step(
+        emb[idx][None], [rng], [len(idx)])[0])
     return vae, trace
 
 
@@ -216,7 +206,7 @@ def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
         if rows.size == 0:
             continue
         if policy == "vae":
-            fill_vec = vaes[i].decode(z[i, rows])
+            fill_vec = vaes[i].decode(z[i:i + 1, rows])[0]
         elif policy == "zero":
             fill_vec = np.zeros(width, dtype=values.dtype)
         else:

@@ -239,7 +239,7 @@ def test_criterion_4_gradient_fidelity():
         eps = rng.normal(size=(3, 3))
 
         def vae_loss():
-            return vae.loss_and_grads(x, eps)[0]
+            return vae.loss_and_grads(x[None], eps[None], [len(x)])[0][0]
 
         vae_loss()
         analytic = {(i, n): g.copy() for i, n, g in vae.gradients()}

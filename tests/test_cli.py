@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgefuse import cli, nn
+from edgefuse import cli, io, nn
 from edgefuse.cli import main
 from edgefuse.config import ConfigError, ExperimentConfig
 
@@ -358,6 +358,21 @@ def _report_on(tmp_path, metrics_text, **ledger_files):
 LEDGER_JSON = '{"cumulative_bytes": 10, "comm_count": 1}'
 
 
+def _edited_artifact(kind, edit):
+    """The stage after ``kind``'s on a run whose first ``kind`` ("edge" or
+    "vae") artifact had its arrays and header changed by ``edit`` in place."""
+    def argv(tmp_path):
+        args = _config_with(tmp_path, lambda d: d)[1:]
+        for stage in ("partition", "train-edges", "train-vaes")[:2 + (kind == "vae")]:
+            assert main([stage, *args]) == 0
+        path = tmp_path / "run" / f"{kind}s" / f"{kind}_000.npz"
+        arrays, meta = io.load_artifact(path, kind)
+        edit(arrays, meta)
+        io.save_artifact(path, kind, arrays, meta)
+        return ["train-ensemble" if kind == "vae" else "train-vaes", *args]
+    return argv
+
+
 BAD_INPUTS = {
     "missing config": (lambda tmp: ["partition", "--config", str(tmp / "absent.json")],
                        "absent.json"),
@@ -434,6 +449,16 @@ BAD_INPUTS = {
                             "partition.json: 'train_indices' of edge 1"),
     "negative index": (_edited_indices(lambda ix: [ix[0], [-1] + ix[1][1:]]),
                        "partition.json: 'train_indices' of edge 1"),
+    "edge without a weight": (_edited_artifact("edge", lambda a, m: a.pop("layer0.w")),
+                              "edge_000.npz: missing weight array layer0.w"),
+    "edge header without task": (_edited_artifact("edge", lambda a, m: m.pop("task")),
+                                 "edge_000.npz: header lacks key 'task'"),
+    "edge weight of another shape": (_edited_artifact("edge", lambda a, m: a.update(
+        {"layer0.w": a["layer0.w"][:1]})), "edge_000.npz: layer0.w: (1, 8) vs (4, 8)"),
+    "vae without a weight": (_edited_artifact("vae", lambda a, m: a.pop("layer0.w")),
+                             "vae_000.npz: missing weight array layer0.w"),
+    "vae header without feature_width": (_edited_artifact(
+        "vae", lambda a, m: m.pop("feature_width")), "vae_000.npz: header lacks key 'feature_width'"),
 }
 
 

@@ -67,7 +67,7 @@ def test_uncovered_sample_fully_imputed(stack_setup):
     assert not stack_embeddings(edges, train, dropped.train_indices)[1][0].any()
     values = build_ensemble_dataset(edges, vaes, dropped, train, policy="vae", split="train")
     for i, vae in enumerate(vaes):     # row 0's own latent, decoded by edge i's VAE (float32)
-        expected = vae.decode(slot_latent(0, i, 0)[None])[0]
+        expected = vae.decode(slot_latent(0, i, 0)[None, None])[0, 0]
         np.testing.assert_allclose(values[0, i], expected, rtol=1e-5, atol=1e-5)
     zero = build_ensemble_dataset(edges, vaes, dropped, train, policy="zero", split="train")
     assert np.all(zero[0] == 0.0)

@@ -15,7 +15,7 @@ def test_constant_rows_drive_reconstruction_to_zero():
     emb = np.full((32, 8), 0.7, dtype=np.float32)
     vae, trace = train_vae(emb, epochs=600, seed=0, lr=0.01)
     eps = np.random.default_rng(1).standard_normal((32, vae.latent_dim))
-    _, recon, kl = vae.loss_and_grads(emb, eps)
+    _, (recon,), (kl,) = vae.loss_and_grads(emb[None], eps[None], [len(emb)])
     assert recon < 0.05
     assert np.isfinite(kl) and 0.0 <= kl < 10.0
     assert trace[-1] < trace[0] * 0.01
@@ -47,7 +47,7 @@ def test_reparameterized_gradients_match_finite_differences():
     eps = rng.normal(size=(3, 4))       # frozen noise
 
     def loss_fn():
-        return vae.loss_and_grads(x, eps)[0]
+        return vae.loss_and_grads(x[None], eps[None], [len(x)])[0][0]
 
     loss_fn()
     analytic = {(i, n): g.copy() for i, n, g in vae.gradients()}
@@ -85,7 +85,7 @@ def test_generated_mean_matches_training_statistics():
     corpus_mean = rng.normal(size=8)
     corpus = (corpus_mean + 0.05 * rng.normal(size=(256, 8))).astype(np.float32)
     vae, _ = train_vae(corpus, epochs=4000, seed=0, lr=3e-3, batch_size=256)
-    gen = vae.decode(np.random.default_rng(50).standard_normal((500, vae.latent_dim)))
+    gen = vae.decode(np.random.default_rng(50).standard_normal((1, 500, vae.latent_dim)))[0]
     diff = np.abs(gen.mean(axis=0) - corpus.mean(axis=0))
     bound = 3.0 * corpus.std(axis=0) / np.sqrt(len(gen))
     assert np.all(diff <= bound), f"worst excess {(diff - bound).max():.5f}"
@@ -187,8 +187,8 @@ def test_vae_policy_uses_matching_edge_model():
     out = fill("vae", values, mask, vaes=vaes, seed=9)
     z0 = slot_latent(9, 0, 1)
     z2 = slot_latent(9, 2, 1)
-    assert np.allclose(out[1, 0], vaes[0].decode(z0[None, :])[0])
-    assert np.allclose(out[1, 2], vaes[2].decode(z2[None, :])[0])
+    assert np.allclose(out[1, 0], vaes[0].decode(z0[None, None])[0, 0])
+    assert np.allclose(out[1, 2], vaes[2].decode(z2[None, None])[0, 0])
 
 
 def test_mean_policy_without_received_vectors_errors():
@@ -269,6 +269,7 @@ def test_stack_members_start_as_the_per_seed_vaes():
 
 
 def test_stacked_step_matches_per_member_steps():
+    # padded batches: each member matches a stack of one on its own rows
     counts = np.array([5, 2, 7])
     stack = Vae(8, latent_dim=4, hidden=6, seed=STACK_SEEDS, lr=1e-2)
     solos = [Vae(8, latent_dim=4, hidden=6, seed=s, lr=1e-2) for s in STACK_SEEDS]
@@ -278,13 +279,27 @@ def test_stacked_step_matches_per_member_steps():
         x = _stack_batch(counts, seed=step)
         losses = stack.train_step(x, stack_rngs, counts)
         for k, solo in enumerate(solos):
-            loss = solo.train_step(x[k, :counts[k]], solo_rngs[k])
+            loss = solo.train_step(x[k:k + 1, :counts[k]], [solo_rngs[k]], [counts[k]])[0]
             assert abs(losses[k] - loss) <= 1e-5 * abs(loss)
     for k, solo in enumerate(solos):
         ref = solo.get_parameters()
         for key, p in stack.member(k).get_parameters().items():
             assert _close(p, ref[key]), (k, key)
     assert list(stack.steps_run) == [5, 5, 5]
+
+    # full batches: the stack is exactly three stacks of one
+    stack = Vae(64, seed=STACK_SEEDS)
+    solos = [Vae(64, seed=s) for s in STACK_SEEDS]
+    stack_rngs = [np.random.default_rng(k) for k in range(3)]
+    solo_rngs = [np.random.default_rng(k) for k in range(3)]
+    full = [128] * 3
+    for step in range(20):
+        x = np.random.default_rng(step).normal(size=(3, 128, 64)).astype(np.float32)
+        losses = stack.train_step(x, stack_rngs, full)
+        for k, solo in enumerate(solos):
+            assert np.array_equal(losses[k:k + 1], solo.train_step(x[k:k + 1], [solo_rngs[k]], [128]))
+    for k, solo in enumerate(solos):
+        assert np.array_equal(stack.flat[k:k + 1], solo.flat), k
 
 
 def test_idle_member_is_untouched():
@@ -309,9 +324,9 @@ def test_member_is_a_view_of_the_stack():
     member = stack.member(2)
     for (_, _, p), (_, _, q) in zip(member.parameters(), stack.parameters()):
         assert np.shares_memory(p, stack.flat)
-        assert np.array_equal(p, q[2])
+        assert np.array_equal(p, q[2:3])
     member.dec_out.params["b"][:] = 7.0
     assert np.all(stack.dec_out.params["b"][2] == 7.0)
     assert not np.any(stack.dec_out.params["b"][[0, 1]] == 7.0)
     z = np.random.default_rng(0).standard_normal((3, 5, 4))
-    assert np.allclose(stack.decode(z)[2], member.decode(z[2]), rtol=1e-5, atol=1e-6)
+    assert np.allclose(stack.decode(z)[2], member.decode(z[2:3])[0], rtol=1e-5, atol=1e-6)
