@@ -7,7 +7,7 @@ as different invocations, each persisting versioned artifacts:
     edgefuse train-edges     --config cfg.json
     edgefuse train-vaes      --config cfg.json
     edgefuse train-ensemble  --config cfg.json
-    edgefuse simulate        --config cfg.json          # any scenario, inline
+    edgefuse simulate        --config cfg.json          # any scenario; trains S1's VAEs itself
     edgefuse tile-plan       --spec layers.json [--out plan.json]
     edgefuse report          --runs DIR [DIR ...] [--out report.csv]
 
@@ -54,22 +54,21 @@ def load_datasets(cfg: ExperimentConfig) -> dict:
         train = make_synthetic_classification(
             int(ds["n_train"]), int(ds["classes"]), int(ds["dims"]),
             seed=derived_seed(cfg.seed, "data-train"), center_seed=center,
-            separation=float(ds.get("separation", 3.0)), split="train")
+            separation=float(ds.get("separation", 3.0)))
         test = make_synthetic_classification(
             int(ds["n_test"]), int(ds["classes"]), int(ds["dims"]),
             seed=derived_seed(cfg.seed, "data-test"), center_seed=center,
-            separation=float(ds.get("separation", 3.0)), split="test")
+            separation=float(ds.get("separation", 3.0)))
         return {"train": train, "test": test, "partition_train": train,
                 "partition_test": test, "bin_edges": None}
     if kind == "idx":
-        train = load_idx_images(ds["train_images"], ds["train_labels"], split="train")
-        test = load_idx_images(ds["test_images"], ds["test_labels"], split="test")
+        train = load_idx_images(ds["train_images"], ds["train_labels"])
+        test = load_idx_images(ds["test_images"], ds["test_labels"])
         return {"train": train, "test": test, "partition_train": train,
                 "partition_test": test, "bin_edges": None}
     if kind == "csv":
-        train, stats = load_csv_regression(ds["train_path"], ds["target_column"], split="train")
-        test, _ = load_csv_regression(ds["test_path"], ds["target_column"], split="test",
-                                      feature_stats=stats)
+        train, stats = load_csv_regression(ds["train_path"], ds["target_column"])
+        test, _ = load_csv_regression(ds["test_path"], ds["target_column"], feature_stats=stats)
         train_view, test_view, edges = bin_regression_targets(train, test)
         return {"train": train, "test": test, "partition_train": train_view,
                 "partition_test": test_view, "bin_edges": edges}
@@ -212,6 +211,13 @@ def load_edges(cfg: ExperimentConfig) -> list:
     return _load_per_edge(cfg, _edge_path, io.load_edge_artifact, "edge", "train-edges")
 
 
+def _load_inputs(cfg: ExperimentConfig) -> tuple:
+    """The dataset bundle, the stored partition and the stored edges."""
+    bundle = load_datasets(cfg)
+    assignment = load_partition(cfg, len(bundle["train"]), len(bundle["test"]))
+    return bundle, assignment, load_edges(cfg)
+
+
 # ---------------------------------------------------------------------------
 # Stage: train-vaes
 # ---------------------------------------------------------------------------
@@ -220,21 +226,21 @@ def _vae_path(run: Path, i: int) -> Path:
     return run / "vaes" / f"vae_{i:03d}.npz"
 
 
+def _train_vaes(cfg: ExperimentConfig, train_ds, assignment: EdgeAssignment, edges) -> list:
+    """(VAE, loss trace) of every edge, trained on its embeddings of its training rows."""
+    return [train_vae(extract_embeddings(art, train_ds, assignment.train_indices[i]),
+                      cfg.ep_vae, cfg.vae_seed(i)) for i, art in enumerate(edges)]
+
+
 def stage_train_vaes(cfg: ExperimentConfig, force: bool = False) -> list:
     run = _run_dir(cfg)
-    bundle = load_datasets(cfg)
-    assignment = load_partition(cfg, len(bundle["train"]), len(bundle["test"]))
-    edges = load_edges(cfg)
-    chash = cfg.config_hash()
+    bundle, assignment, edges = _load_inputs(cfg)
     for i in range(cfg.n_edges):
         _refuse_overwrite(_vae_path(run, i), force)
-    vaes = []
-    for i, art in enumerate(edges):
-        emb = extract_embeddings(art, bundle["train"], assignment.train_indices[i])
-        v, trace = train_vae(emb, cfg.ep_vae, cfg.vae_seed(i))
-        io.save_vae_artifact(_vae_path(run, i), v, chash, i, loss_trace=trace)
-        vaes.append(v)
-    return vaes
+    trained = _train_vaes(cfg, bundle["train"], assignment, edges)
+    for i, (v, trace) in enumerate(trained):
+        io.save_vae_artifact(_vae_path(run, i), v, cfg.config_hash(), i, loss_trace=trace)
+    return [v for v, _ in trained]
 
 
 def load_vaes(cfg: ExperimentConfig) -> list:
@@ -245,7 +251,7 @@ def load_vaes(cfg: ExperimentConfig) -> list:
 # Stage: train-ensemble (one-shot transfer semantics) and simulate
 # ---------------------------------------------------------------------------
 
-def _metrics_payload(cfg: ExperimentConfig, run_result, edges, bundle, vaes) -> dict:
+def _metrics_payload(cfg: ExperimentConfig, run_result, edges, bundle) -> dict:
     test_ds = bundle["test"]
     payload = {
         "config_hash": cfg.config_hash(),
@@ -257,7 +263,7 @@ def _metrics_payload(cfg: ExperimentConfig, run_result, edges, bundle, vaes) -> 
         "report": run_result.report.to_dict(),
         "ensemble_param_count": run_result.model.param_count(),
         "edge_param_counts": [a.param_count() for a in edges],
-        "vae_param_counts": [v.param_count() for v in vaes],
+        "vae_param_counts": [v.param_count() for v in run_result.vaes],
     }
     if cfg.task == "classification":
         all_test = np.arange(len(test_ds))
@@ -271,8 +277,7 @@ def _metrics_payload(cfg: ExperimentConfig, run_result, edges, bundle, vaes) -> 
     return payload
 
 
-def _write_run_outputs(cfg: ExperimentConfig, run_result, edges, bundle, vaes,
-                       force: bool) -> None:
+def _write_run_outputs(cfg: ExperimentConfig, run_result, edges, bundle, force: bool) -> None:
     run = _run_dir(cfg)
     for name in ("ensemble.npz", "metrics.json", "ledger.json", "ledger.csv"):
         _refuse_overwrite(run / name, force)
@@ -280,7 +285,7 @@ def _write_run_outputs(cfg: ExperimentConfig, run_result, edges, bundle, vaes,
                               {"scenario": run_result.config.scenario,
                                "task": cfg.task, "fill_policy": cfg.fill_policy})
     with io.atomic_write(run / "metrics.json") as f:
-        json.dump(_metrics_payload(cfg, run_result, edges, bundle, vaes), f,
+        json.dump(_metrics_payload(cfg, run_result, edges, bundle), f,
                   sort_keys=True, indent=2)
     run_result.ledger.write_summary(run / "ledger.json")
     run_result.ledger.write_events_csv(run / "ledger.csv")
@@ -294,18 +299,13 @@ def _ensemble_config(cfg: ExperimentConfig, n_classes) -> ensemble.EnsembleConfi
         seed=derived_seed(cfg.seed, "ensemble"))
 
 
-def _run_and_write(cfg: ExperimentConfig, force: bool, stored_vaes):
-    """Run the scenario on the stored edges with ``stored_vaes()`` (None: train inline)."""
-    bundle = load_datasets(cfg)
-    assignment = load_partition(cfg, len(bundle["train"]), len(bundle["test"]))
-    edges = load_edges(cfg)
-    vaes = stored_vaes()
+def _run_and_write(cfg: ExperimentConfig, force: bool, bundle, assignment, edges, vaes):
+    """Run the scenario with ``vaes`` (S1's per-edge VAEs, or None) and write its outputs."""
     ens_cfg = _ensemble_config(cfg, bundle["partition_train"].n_classes)
     result = comms.run_scenario(cfg.scenario_config(), edges, bundle["train"], bundle["test"],
-                                assignment, ens_cfg=ens_cfg, vae_epochs=cfg.ep_vae,
-                                policy=cfg.fill_policy, seed=cfg.seed, vaes=vaes,
-                                bin_edges=bundle["bin_edges"])
-    _write_run_outputs(cfg, result, edges, bundle, result.vaes, force)
+                                assignment, ens_cfg=ens_cfg, policy=cfg.fill_policy,
+                                seed=cfg.seed, vaes=vaes, bin_edges=bundle["bin_edges"])
+    _write_run_outputs(cfg, result, edges, bundle, force)
     return result
 
 
@@ -313,18 +313,17 @@ def stage_train_ensemble(cfg: ExperimentConfig, force: bool = False):
     if cfg.scenario_name != "S1":
         raise StageError("train-ensemble persists the one-shot-transfer pipeline; "
                          "use `simulate` for streaming scenarios")
-    return _run_and_write(cfg, force, lambda: load_vaes(cfg) if cfg.fill_policy == "vae" else None)
+    bundle, assignment, edges = _load_inputs(cfg)
+    vaes = load_vaes(cfg) if cfg.fill_policy == "vae" else None
+    return _run_and_write(cfg, force, bundle, assignment, edges, vaes)
 
 
 def stage_simulate(cfg: ExperimentConfig, force: bool = False):
-    def stored_vaes():          # S1 trains them inline when absent; S2/S3 train their own
-        if cfg.scenario_name != "S1" or cfg.fill_policy != "vae":
-            return None
-        try:
-            return load_vaes(cfg)
-        except StageError:
-            return None
-    return _run_and_write(cfg, force, stored_vaes)
+    """Any scenario on the stored edges; S1 trains its VAEs here, never reading ``vaes/``."""
+    bundle, assignment, edges = _load_inputs(cfg)
+    s1_vae = cfg.scenario_name == "S1" and cfg.fill_policy == "vae"
+    vaes = [v for v, _ in _train_vaes(cfg, bundle["train"], assignment, edges)] if s1_vae else None
+    return _run_and_write(cfg, force, bundle, assignment, edges, vaes)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ from .ensemble import (EnsembleConfig, _as_conv_input, build_ensemble_dataset, e
                        train_ensemble)
 from .io import atomic_write
 from .seeding import derived_seed, rng_from
-from .vae import Vae, fill, missing_slot_latents, train_vae
+from .vae import Vae, fill, missing_slot_latents
+from .vae import train_vae  # unused: kept for perfbench/tracer.py, which patches it here
 
 SCENARIOS = ("S1", "S2", "S3")
 DEFAULT_LINK_RATE = 450e6      # bits per second
@@ -261,17 +262,18 @@ class ScenarioRun:
 
 def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
                  train_ds: Dataset, test_ds: Dataset, assignment: EdgeAssignment, *,
-                 ens_cfg: EnsembleConfig, vae_epochs: int = 50,
-                 policy: str = "vae", seed: int = 0,
+                 ens_cfg: EnsembleConfig, policy: str = "vae", seed: int = 0,
                  vaes: Optional[Sequence[Vae]] = None, bin_edges=None) -> ScenarioRun:
-    """Drive one full scenario with already-trained edges.
+    """Drive one full scenario with already-trained edges and report on the
+    test split.
 
-    S1 trains VAEs up front (or reuses the given ones) and fits the ensemble
-    on the stored matrix. S2/S3 stream mini-batches: per round each edge's
-    available rows feed one incremental VAE step, missing slots are decoded
-    with the current VAE weights, and the ensemble takes ``reuse`` steps on
-    the received batch. A regression report's binned accuracy uses
-    ``bin_edges``, the training split's target bins.
+    S1 fills the stored training matrix with the caller's per-edge ``vaes``
+    (needed only by the ``vae`` policy) and fits the ensemble on it. S2/S3
+    ignore ``vaes`` and stream mini-batches: per round each edge's rows feed
+    one step of a stacked VAE trained here, missing slots are decoded with
+    its current weights, and the ensemble takes ``reuse`` steps on the
+    batch. A regression report's binned accuracy uses ``bin_edges``, the
+    training split's target bins.
     """
     n_total = len(train_ds)
     n_per_edge = [len(ix) for ix in assignment.train_indices]
@@ -282,16 +284,9 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
     fill_seed = derived_seed(seed, "fill")
 
     if scenario_cfg.scenario == "S1":
-        if policy == "vae" and vaes is None:
-            values, mask = stack_embeddings(edges, train_ds, assignment.train_indices)
-            vaes = []
-            for i in range(len(edges)):
-                emb = values[mask[:, i], i, :]
-                v, _ = train_vae(emb, vae_epochs, derived_seed(seed, "vae", i))
-                vaes.append(v)
         vaes = list(vaes) if vaes is not None else []
-        values = build_ensemble_dataset(edges, vaes, assignment, train_ds,
-                                        policy=policy, split="train", fill_seed=fill_seed)
+        values = build_ensemble_dataset(edges, vaes, train_ds, assignment.train_indices,
+                                        policy=policy, fill_seed=fill_seed)
         model, trace = train_ensemble(values, labels, replace(
             ens_cfg, epochs=scenario_cfg.ep_ens, batch_size=scenario_cfg.batch_size))
         vae_trace = np.zeros((0, len(edges)))
@@ -299,8 +294,8 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
         model, trace, vaes, vae_trace = _fit_streaming(scenario_cfg, edges, train_ds, assignment,
                                                        ens_cfg, policy, seed)
 
-    test_values = build_ensemble_dataset(edges, vaes, assignment, test_ds,
-                                         policy=policy, split="test", fill_seed=fill_seed)
+    test_values = build_ensemble_dataset(edges, vaes, test_ds, assignment.test_indices,
+                                         policy=policy, fill_seed=fill_seed)
     preds = predict(model, test_values, task=ens_cfg.task)
     if ens_cfg.task == "classification":
         scores = predict_proba(model, test_values)

@@ -27,7 +27,6 @@ class Dataset:
     labels: np.ndarray            # (n,) int64 class ids or float targets
     task: str                     # "classification" | "regression"
     n_classes: Optional[int] = None
-    split: str = "train"
 
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
@@ -73,7 +72,7 @@ def _read_idx(path) -> np.ndarray:
         raise ValueError(f"{path}: bad magic 0x{magic:08x}")
 
 
-def load_idx_images(images_path, labels_path, split="train") -> Dataset:
+def load_idx_images(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair into a classification dataset.
 
     Pixels are scaled to [0, 1]; images come out as (n, 1, H, W) float32.
@@ -89,15 +88,14 @@ def load_idx_images(images_path, labels_path, split="train") -> Dataset:
     x = (images.astype(np.float32) / 255.0)[:, None, :, :]
     y = labels.astype(np.int64)
     n_classes = int(y.max()) + 1 if len(y) else 0
-    return Dataset(inputs=x, labels=y, task="classification", n_classes=n_classes, split=split)
+    return Dataset(inputs=x, labels=y, task="classification", n_classes=n_classes)
 
 
 # ---------------------------------------------------------------------------
 # CSV regression files
 # ---------------------------------------------------------------------------
 
-def load_csv_regression(path, target_column: str, split="train",
-                        feature_stats: Optional[tuple] = None):
+def load_csv_regression(path, target_column: str, feature_stats: Optional[tuple] = None):
     """Load a numeric CSV with a header row into a regression dataset.
 
     Features are z-score normalized per column (columns with zero variance
@@ -138,7 +136,7 @@ def load_csv_regression(path, target_column: str, split="train",
     safe = np.where(std > 0, std, 1.0)
     feats = (feats - mean) / safe
     feats[:, std == 0] = 0.0
-    ds = Dataset(inputs=feats.astype(np.float32), labels=target, task="regression", split=split)
+    ds = Dataset(inputs=feats.astype(np.float32), labels=target, task="regression")
     return ds, feature_stats
 
 
@@ -148,7 +146,7 @@ def load_csv_regression(path, target_column: str, split="train",
 
 def make_synthetic_classification(n: int, c: int, dims: int, seed,
                                   separation: float = 3.0,
-                                  center_seed=None, split="train") -> Dataset:
+                                  center_seed=None) -> Dataset:
     """Gaussian class blobs with balanced classes, deterministic per seed.
 
     Class centers come from ``center_seed`` (defaults to ``seed``) so a train
@@ -166,7 +164,7 @@ def make_synthetic_classification(n: int, c: int, dims: int, seed,
     inputs = centers[labels] + rng.normal(0.0, 1.0, size=(n, dims))
     order = rng.permutation(n)
     return Dataset(inputs=inputs[order].astype(np.float32), labels=labels[order],
-                   task="classification", n_classes=c, split=split)
+                   task="classification", n_classes=c)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +206,9 @@ def bin_regression_targets(train: Dataset, test: Dataset):
         raise ValueError("empty training split")
     edges = decile_edges(train.labels)
     train_view = Dataset(inputs=train.inputs, labels=bin_targets(train.labels, edges),
-                         task="classification", n_classes=N_BINS, split=train.split)
+                         task="classification", n_classes=N_BINS)
     test_view = Dataset(inputs=test.inputs, labels=bin_targets(test.labels, edges),
-                        task="classification", n_classes=N_BINS, split=test.split)
+                        task="classification", n_classes=N_BINS)
     return train_view, test_view, edges
 
 

@@ -35,20 +35,21 @@ class EdgeModelConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        # each error starts with the field it rejects; io names the artifact file before it
         tap = embedding_tap_index(self.specs, self.feature_width)
         if tap is None:
-            raise ValueError("architecture lacks a penultimate dense layer of the embedding width")
+            raise ValueError(f"specs lack a penultimate dense layer of {self.feature_width!r} units")
         head = self.specs[-1]
         if head.kind != "dense":
-            raise ValueError("output layer must be dense")
+            raise ValueError("specs must end in a dense output layer")
         if self.task == "classification":
             if head.units != self.n_classes:
-                raise ValueError(f"classification head must have {self.n_classes} units, has {head.units}")
+                raise ValueError(f"specs end in {head.units} units, not n_classes={self.n_classes}")
         elif self.task == "regression":
             if head.units != 1:
-                raise ValueError("regression head must have 1 unit")
+                raise ValueError(f"specs end in {head.units} units; a regression head has 1")
         else:
-            raise ValueError(f"unknown task {self.task!r}")
+            raise ValueError(f"task {self.task!r} is unknown")
 
     @property
     def loss(self) -> str:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import nn
-from .datasets import Dataset, EdgeAssignment
+from .datasets import Dataset
 from .edge import EdgeArtifact, batched_forward, edge_predict_proba, extract_embeddings
 from .metrics import MetricReport, classification_report, regression_report
 from .seeding import derived_seed, rng_from
@@ -65,14 +65,11 @@ def stack_embeddings(edges: Sequence[EdgeArtifact], dataset: Dataset, index_sets
 
 
 def build_ensemble_dataset(edges: Sequence[EdgeArtifact], vaes: Optional[Sequence[Vae]],
-                           assignment: EdgeAssignment, dataset: Dataset, *,
-                           policy: str = "vae", split: str = "train",
+                           dataset: Dataset, index_sets, *, policy: str = "vae",
                            fill_seed=0) -> np.ndarray:
     """The filled (n, N, width) float32 array of every edge's embeddings for
-    all dataset rows: slot (k, i) holds edge i's real embedding when the edge
-    was assigned sample k for this split, and is filled per the policy
-    otherwise."""
-    index_sets = assignment.train_indices if split == "train" else assignment.test_indices
+    all dataset rows: slot (k, i) holds edge i's real embedding when k is in
+    ``index_sets[i]``, and is filled per the policy otherwise."""
     values, mask = stack_embeddings(edges, dataset, index_sets)
     return fill(policy, values, mask, vaes=vaes, seed=fill_seed)
 

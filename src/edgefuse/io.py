@@ -125,17 +125,20 @@ def load_edge_artifact(path, config_hash: Optional[str] = None) -> EdgeArtifact:
     arrays, meta = load_artifact(path, "edge", config_hash, (
         "task", "specs", "input_shape", "epochs", "feature_width", "seed", "n_classes", "lr",
         "batch_size", "loss_trace", "epochs_run", "n_train"))
-    cfg = EdgeModelConfig(
-        task=meta["task"],
-        specs=tuple(nn.LayerSpec.from_dict(d) for d in meta["specs"]),
-        input_shape=tuple(meta["input_shape"]),
-        epochs=meta["epochs"],
-        feature_width=meta["feature_width"],
-        seed=meta["seed"],
-        n_classes=meta["n_classes"],
-        lr=meta["lr"],
-        batch_size=meta["batch_size"],
-    )
+    try:
+        cfg = EdgeModelConfig(
+            task=meta["task"],
+            specs=tuple(nn.LayerSpec.from_dict(d) for d in meta["specs"]),
+            input_shape=tuple(meta["input_shape"]),
+            epochs=meta["epochs"],
+            feature_width=meta["feature_width"],
+            seed=meta["seed"],
+            n_classes=meta["n_classes"],
+            lr=meta["lr"],
+            batch_size=meta["batch_size"],
+        )
+    except ValueError as exc:           # the message starts with the header key
+        raise ArtifactError(f"{path}: header {exc}") from exc
     model = build_edge_model(cfg)
     _set_weights(path, model, arrays)
     return EdgeArtifact(config=cfg, model=model, loss_trace=meta["loss_trace"],
@@ -165,8 +168,11 @@ def save_vae_artifact(path, vae: Vae, config_hash: str, edge_index: int,
 
 
 def load_vae_artifact(path, config_hash: Optional[str] = None) -> Vae:
-    arrays, meta = load_artifact(path, "vae", config_hash,
-                                 ("feature_width", "latent_dim", "hidden", "seed", "steps_run"))
+    keys = ("feature_width", "latent_dim", "hidden", "seed", "steps_run")
+    arrays, meta = load_artifact(path, "vae", config_hash, keys)
+    for key in keys:
+        if type(meta[key]) is not int:
+            raise ArtifactError(f"{path}: header {key} must be an integer, got {meta[key]!r}")
     vae = Vae(feature_width=meta["feature_width"], latent_dim=meta["latent_dim"],
               hidden=meta["hidden"], seed=meta["seed"])
     _set_weights(path, vae, {k: a[None] for k, a in arrays.items()})

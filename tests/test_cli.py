@@ -192,6 +192,31 @@ def test_simulate_streaming_scenario(tmp_path, capsys):
     assert len(rows) == out["comm_count"] * 2
 
 
+def _run_outputs(run: Path):
+    """The ensemble's arrays and header, and the text of metrics.json and ledger.json."""
+    arrays, meta = io.load_artifact(run / "ensemble.npz", "ensemble")
+    return arrays, meta, (run / "metrics.json").read_text(), (run / "ledger.json").read_text()
+
+
+@pytest.mark.parametrize("seed,stored_vaes", [(5, None), (6, None), (7, None), (5, "corrupt")])
+def test_simulate_s1_trains_the_vaes_train_vaes_would(tmp_path, seed, stored_vaes):
+    # simulate never reads vaes/: a corrupt stored VAE changes nothing
+    staged = write_config(tmp_path, micro_config(tmp_path, seed=seed, subdir="staged"), "s.json")
+    run_stages(staged, "partition", "train-edges", "train-vaes", "train-ensemble")
+    inline = write_config(tmp_path, micro_config(tmp_path, seed=seed, subdir="inline"), "i.json")
+    run_stages(inline, "partition", "train-edges")
+    if stored_vaes:
+        (tmp_path / "inline" / "vaes").mkdir()
+        (tmp_path / "inline" / "vaes" / "vae_000.npz").write_bytes(
+            (tmp_path / "staged" / "vaes" / "vae_000.npz").read_bytes())
+        (tmp_path / "inline" / "vaes" / "vae_001.npz").write_bytes(b"not an npz archive")
+    run_stages(inline, "simulate")
+    want, got = _run_outputs(tmp_path / "staged"), _run_outputs(tmp_path / "inline")
+    assert want[0].keys() == got[0].keys()
+    assert all(np.array_equal(want[0][k], got[0][k]) for k in want[0])
+    assert want[1:] == got[1:]
+
+
 def test_train_ensemble_rejects_streaming_config(tmp_path, capsys):
     cfg_path = write_config(tmp_path, micro_config(tmp_path, scenario="S3"))
     run_stages(cfg_path, "partition", "train-edges")
@@ -459,6 +484,13 @@ BAD_INPUTS = {
                              "vae_000.npz: missing weight array layer0.w"),
     "vae header without feature_width": (_edited_artifact(
         "vae", lambda a, m: m.pop("feature_width")), "vae_000.npz: header lacks key 'feature_width'"),
+    "edge header with an unknown task": (_edited_artifact(
+        "edge", lambda a, m: m.update(task="bogus")), "edge_000.npz: header task 'bogus'"),
+    "edge header specs without an embedding layer": (_edited_artifact(
+        "edge", lambda a, m: m.update(specs=[{"kind": "dense"}])), "edge_000.npz: header specs"),
+    "vae header steps_run a string": (_edited_artifact(
+        "vae", lambda a, m: m.update(steps_run="x")),
+        "vae_000.npz: header steps_run must be an integer, got 'x'"),
 }
 
 

@@ -12,8 +12,9 @@ from edgefuse.comms import (ScenarioConfig, StreamScheduleError, account, plan_s
                             run_scenario, sample_stream)
 from edgefuse.config import ExperimentConfig
 from edgefuse.datasets import PartitionSpec, make_synthetic_classification, sample_edge_assignment
-from edgefuse.edge import EdgeModelConfig, random_edge_config, train_edge
+from edgefuse.edge import EdgeModelConfig, extract_embeddings, random_edge_config, train_edge
 from edgefuse.ensemble import EnsembleConfig
+from edgefuse.vae import train_vae
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ def micro_setup():
     c, dims, n_edges = 3, 4, 2
     train = make_synthetic_classification(90, c, dims, seed=1, center_seed=1, separation=5.0)
     test = make_synthetic_classification(45, c, dims, seed=2, center_seed=1,
-                                         separation=5.0, split="test")
+                                         separation=5.0)
     asg = sample_edge_assignment(train, test, PartitionSpec(alpha=0.5, delta=0.2,
                                                             n_edges=n_edges, seed=3))
     edges = []
@@ -247,12 +248,20 @@ def micro_setup():
     return train, test, asg, edges, ens_cfg
 
 
+@pytest.fixture(scope="module")
+def s1_vaes(micro_setup):
+    """One VAE per edge, trained on its embeddings of its training rows (S1's)."""
+    train, _, asg, edges, _ = micro_setup
+    return [train_vae(extract_embeddings(art, train, asg.train_indices[i]), 2, 20 + i)[0]
+            for i, art in enumerate(edges)]
+
+
 @pytest.mark.parametrize("name,ep_d", [("S1", None), ("S2", 2), ("S3", None)])
-def test_run_scenario_produces_consistent_ledger(micro_setup, name, ep_d):
+def test_run_scenario_produces_consistent_ledger(micro_setup, s1_vaes, name, ep_d):
     train, test, asg, edges, ens_cfg = micro_setup
     cfg = ScenarioConfig(name, ep_ens=4, ep_ens_d=ep_d, batch_size=16)
-    run = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg,
-                       vae_epochs=2, policy="vae", seed=7)
+    run = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="vae", seed=7,
+                       vaes=s1_vaes if name == "S1" else None)
     if name == "S1":
         assert run.ledger.comm_count == len(edges)
     else:
@@ -265,10 +274,8 @@ def test_run_scenario_produces_consistent_ledger(micro_setup, name, ep_d):
 def test_run_scenario_deterministic(micro_setup):
     train, test, asg, edges, ens_cfg = micro_setup
     cfg = ScenarioConfig("S3", ep_ens=3, batch_size=16)
-    r1 = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg,
-                      vae_epochs=2, policy="vae", seed=11)
-    r2 = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg,
-                      vae_epochs=2, policy="vae", seed=11)
+    r1 = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="vae", seed=11)
+    r2 = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="vae", seed=11)
     assert np.array_equal(r1.predictions, r2.predictions)
     assert r1.ledger.to_summary() == r2.ledger.to_summary()
 
@@ -279,8 +286,7 @@ def test_s2_and_s3_visit_budget(micro_setup):
     train, test, asg, edges, ens_cfg = micro_setup
     for cfg in (ScenarioConfig("S2", ep_ens=4, ep_ens_d=2, batch_size=8),
                 ScenarioConfig("S3", ep_ens=4, batch_size=8)):
-        run = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg,
-                           vae_epochs=1, policy="vae", seed=13)
+        run = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="vae", seed=13)
         expected_steps = math.ceil(len(train) * cfg.passes / 8) * cfg.reuse
         assert len(run.train_trace) == expected_steps
 
@@ -288,10 +294,17 @@ def test_s2_and_s3_visit_budget(micro_setup):
 def test_run_scenario_zero_policy(micro_setup):
     train, test, asg, edges, ens_cfg = micro_setup
     cfg = ScenarioConfig("S1", ep_ens=2, batch_size=16)
-    run = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg,
-                       vae_epochs=1, policy="zero", seed=17)
+    run = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="zero", seed=17)
     assert run.report.accuracy is not None
     assert run.vaes == []
+
+
+def test_s1_vae_policy_needs_the_callers_vaes(micro_setup, s1_vaes):
+    train, test, asg, edges, ens_cfg = micro_setup
+    cfg = ScenarioConfig("S1", ep_ens=1, batch_size=16)
+    for vaes in (None, s1_vaes[:1]):
+        with pytest.raises(ValueError, match="one VAE per edge"):
+            run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="vae", vaes=vaes)
 
 
 def _drop_last_batch(stream):
@@ -318,7 +331,7 @@ from edgefuse.ensemble import EnsembleConfig
 
 assert not __debug__
 train = make_synthetic_classification(40, 2, 3, seed=1, center_seed=1)
-test = make_synthetic_classification(20, 2, 3, seed=2, center_seed=1, split="test")
+test = make_synthetic_classification(20, 2, 3, seed=2, center_seed=1)
 asg = sample_edge_assignment(train, test, PartitionSpec(alpha=0.5, delta=0.2, n_edges=2, seed=3))
 edges = [train_edge(random_edge_config("classification", (3,), seed=i, n_classes=2,
                                        epoch_range=(1, 1), feature_width=8),
@@ -353,7 +366,7 @@ def _rows_sent_per_round(n, cfg, asg, seed):
     return np.array([held[b].sum(axis=0) for b in stream])
 
 
-def test_streaming_vae_trace_has_a_loss_per_round_and_edge(micro_setup):
+def test_streaming_vae_trace_has_a_loss_per_round_and_edge(micro_setup, s1_vaes):
     train, test, asg, edges, ens_cfg = micro_setup
     cfg = ScenarioConfig("S3", ep_ens=3, batch_size=2)
     run = run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="vae", seed=19)
@@ -364,5 +377,5 @@ def test_streaming_vae_trace_has_a_loss_per_round_and_edge(micro_setup):
     assert np.array_equal(np.isnan(run.vae_trace), idle)
     assert np.isfinite(run.vae_trace[~idle]).all()
     s1 = run_scenario(ScenarioConfig("S1", ep_ens=1), edges, train, test, asg,
-                      ens_cfg=ens_cfg, vae_epochs=1, policy="vae", seed=19)
+                      ens_cfg=ens_cfg, policy="vae", seed=19, vaes=s1_vaes)
     assert s1.vae_trace.shape == (0, len(edges))

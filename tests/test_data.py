@@ -176,10 +176,10 @@ def test_blobs_require_n_at_least_c():
 # decile binning
 # ---------------------------------------------------------------------------
 
-def _reg_dataset(targets, split="train"):
+def _reg_dataset(targets):
     t = np.asarray(targets, dtype=np.float64)
     return Dataset(inputs=np.zeros((len(t), 2), dtype=np.float32), labels=t,
-                   task="regression", split=split)
+                   task="regression")
 
 
 def test_uniform_ranks_give_equal_bins():
@@ -240,7 +240,7 @@ def test_tied_targets_keep_strictly_increasing_edges():
 def _cls_pair(n_train=600, n_test=300, c=3, seed=0, sep=4.0):
     tr = make_synthetic_classification(n_train, c, 4, seed=seed, center_seed=seed, separation=sep)
     te = make_synthetic_classification(n_test, c, 4, seed=seed + 1, center_seed=seed,
-                                       separation=sep, split="test")
+                                       separation=sep)
     return tr, te
 
 
@@ -335,7 +335,7 @@ def test_class_absent_in_test_errors():
     tr, _ = _cls_pair()
     te_missing = Dataset(inputs=np.zeros((5, 4), dtype=np.float32),
                          labels=np.zeros(5, dtype=np.int64), task="classification",
-                         n_classes=3, split="test")
+                         n_classes=3)
     spec = PartitionSpec(alpha=0.5, delta=0.0, n_edges=2, seed=0)
     with pytest.raises(ValueError, match="absent from test"):
         sample_edge_assignment(tr, te_missing, spec)

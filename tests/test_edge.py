@@ -62,7 +62,7 @@ def test_head_width_validation():
 def blob_data():
     train = make_synthetic_classification(400, 4, 6, seed=21, center_seed=21, separation=5.0)
     test = make_synthetic_classification(200, 4, 6, seed=22, center_seed=21,
-                                         separation=5.0, split="test")
+                                         separation=5.0)
     return train, test
 
 

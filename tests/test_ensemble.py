@@ -19,7 +19,7 @@ def stack_setup():
     c, dims, n_edges = 3, 4, 3
     train = make_synthetic_classification(120, c, dims, seed=31, center_seed=31, separation=5.0)
     test = make_synthetic_classification(60, c, dims, seed=32, center_seed=31,
-                                         separation=5.0, split="test")
+                                         separation=5.0)
     asg = sample_edge_assignment(train, test, PartitionSpec(alpha=0.4, delta=0.3,
                                                             n_edges=n_edges, seed=33))
     edges = []
@@ -41,7 +41,7 @@ def test_full_coverage_means_no_imputation(stack_setup):
     train, test, _, edges, vaes = stack_setup
     asg_full = sample_edge_assignment(train, test,
                                       PartitionSpec(alpha=1.0, delta=0.0, n_edges=3, seed=1))
-    values = build_ensemble_dataset(edges, vaes, asg_full, train, policy="vae", split="train")
+    values = build_ensemble_dataset(edges, vaes, train, asg_full.train_indices, policy="vae")
     assert stack_embeddings(edges, train, asg_full.train_indices)[1].all()
     for i, art in enumerate(edges):
         emb = extract_embeddings(art, train, np.arange(len(train)))
@@ -50,7 +50,7 @@ def test_full_coverage_means_no_imputation(stack_setup):
 
 def test_received_slots_bit_equal_edge_embeddings(stack_setup):
     train, _, asg, edges, vaes = stack_setup
-    values = build_ensemble_dataset(edges, vaes, asg, train, policy="vae", split="train")
+    values = build_ensemble_dataset(edges, vaes, train, asg.train_indices, policy="vae")
     _, mask = stack_embeddings(edges, train, asg.train_indices)
     for i, art in enumerate(edges):
         idx = asg.train_indices[i]
@@ -61,15 +61,13 @@ def test_received_slots_bit_equal_edge_embeddings(stack_setup):
 
 def test_uncovered_sample_fully_imputed(stack_setup):
     train, _, asg, edges, vaes = stack_setup
-    import dataclasses
-    dropped = dataclasses.replace(
-        asg, train_indices=[ix[ix != 0] for ix in asg.train_indices])
-    assert not stack_embeddings(edges, train, dropped.train_indices)[1][0].any()
-    values = build_ensemble_dataset(edges, vaes, dropped, train, policy="vae", split="train")
+    dropped = [ix[ix != 0] for ix in asg.train_indices]
+    assert not stack_embeddings(edges, train, dropped)[1][0].any()
+    values = build_ensemble_dataset(edges, vaes, train, dropped, policy="vae")
     for i, vae in enumerate(vaes):     # row 0's own latent, decoded by edge i's VAE (float32)
         expected = vae.decode(slot_latent(0, i, 0)[None, None])[0, 0]
         np.testing.assert_allclose(values[0, i], expected, rtol=1e-5, atol=1e-5)
-    zero = build_ensemble_dataset(edges, vaes, dropped, train, policy="zero", split="train")
+    zero = build_ensemble_dataset(edges, vaes, train, dropped, policy="zero")
     assert np.all(zero[0] == 0.0)
 
 
@@ -77,7 +75,7 @@ def test_mask_fraction_tracks_alpha_expectation():
     c, dims = 10, 4
     train = make_synthetic_classification(1000, c, dims, seed=0, center_seed=0, separation=4.0)
     test = make_synthetic_classification(500, c, dims, seed=1, center_seed=0,
-                                         separation=4.0, split="test")
+                                         separation=4.0)
     asg = sample_edge_assignment(train, test, PartitionSpec(alpha=0.3, delta=0.2,
                                                             n_edges=20, seed=4))
     # mask-true fraction equals realized per-edge coverage; both sit near the
@@ -99,7 +97,7 @@ def test_feature_width_mismatch_rejected(stack_setup):
                           seed=0, n_classes=3)
     bad[1] = train_edge(cfg, train, asg.train_indices[1])
     with pytest.raises(nn.ShapeMismatchError):
-        build_ensemble_dataset(bad, vaes, asg, train, policy="zero", split="train")
+        build_ensemble_dataset(bad, vaes, train, asg.train_indices, policy="zero")
 
 
 # ---------------------------------------------------------------------------
