@@ -277,35 +277,32 @@ def _metrics_payload(cfg: ExperimentConfig, run_result, edges, bundle) -> dict:
     return payload
 
 
-def _write_run_outputs(cfg: ExperimentConfig, run_result, edges, bundle, force: bool) -> None:
+def _run_and_write(cfg: ExperimentConfig, force: bool, vaes_stored: bool):
+    """Run the scenario on the stored edges and write its outputs, refused before
+    any training; S1 ``vae`` fill loads ``vaes/`` if ``vaes_stored``, else trains."""
     run = _run_dir(cfg)
     for name in ("ensemble.npz", "metrics.json", "ledger.json", "ledger.csv"):
         _refuse_overwrite(run / name, force)
-    io.save_ensemble_artifact(run / "ensemble.npz", run_result.model, cfg.config_hash(),
-                              {"scenario": run_result.config.scenario,
-                               "task": cfg.task, "fill_policy": cfg.fill_policy})
-    with io.atomic_write(run / "metrics.json") as f:
-        json.dump(_metrics_payload(cfg, run_result, edges, bundle), f,
-                  sort_keys=True, indent=2)
-    run_result.ledger.write_summary(run / "ledger.json")
-    run_result.ledger.write_events_csv(run / "ledger.csv")
-
-
-def _ensemble_config(cfg: ExperimentConfig, n_classes) -> ensemble.EnsembleConfig:
-    return ensemble.EnsembleConfig(
+    bundle, assignment, edges = _load_inputs(cfg)
+    vaes = None
+    if cfg.scenario_name == "S1" and cfg.fill_policy == "vae":
+        vaes = load_vaes(cfg) if vaes_stored else [
+            v for v, _ in _train_vaes(cfg, bundle["train"], assignment, edges)]
+    n_classes = bundle["partition_train"].n_classes
+    ens_cfg = ensemble.EnsembleConfig(
         n_edges=cfg.n_edges, feature_width=cfg.l_com, task=cfg.task,
         n_outputs=n_classes if cfg.task == "classification" else 1,
-        epochs=cfg.ep_ens, lr=cfg.ens_lr, batch_size=cfg.batch_size,
-        seed=derived_seed(cfg.seed, "ensemble"))
-
-
-def _run_and_write(cfg: ExperimentConfig, force: bool, bundle, assignment, edges, vaes):
-    """Run the scenario with ``vaes`` (S1's per-edge VAEs, or None) and write its outputs."""
-    ens_cfg = _ensemble_config(cfg, bundle["partition_train"].n_classes)
+        lr=cfg.ens_lr, seed=derived_seed(cfg.seed, "ensemble"))
     result = comms.run_scenario(cfg.scenario_config(), edges, bundle["train"], bundle["test"],
                                 assignment, ens_cfg=ens_cfg, policy=cfg.fill_policy,
                                 seed=cfg.seed, vaes=vaes, bin_edges=bundle["bin_edges"])
-    _write_run_outputs(cfg, result, edges, bundle, force)
+    io.save_ensemble_artifact(run / "ensemble.npz", result.model, cfg.config_hash(),
+                              {"scenario": result.config.scenario,
+                               "task": cfg.task, "fill_policy": cfg.fill_policy})
+    with io.atomic_write(run / "metrics.json") as f:
+        json.dump(_metrics_payload(cfg, result, edges, bundle), f, sort_keys=True, indent=2)
+    result.ledger.write_summary(run / "ledger.json")
+    result.ledger.write_events_csv(run / "ledger.csv")
     return result
 
 
@@ -313,17 +310,12 @@ def stage_train_ensemble(cfg: ExperimentConfig, force: bool = False):
     if cfg.scenario_name != "S1":
         raise StageError("train-ensemble persists the one-shot-transfer pipeline; "
                          "use `simulate` for streaming scenarios")
-    bundle, assignment, edges = _load_inputs(cfg)
-    vaes = load_vaes(cfg) if cfg.fill_policy == "vae" else None
-    return _run_and_write(cfg, force, bundle, assignment, edges, vaes)
+    return _run_and_write(cfg, force, vaes_stored=True)
 
 
 def stage_simulate(cfg: ExperimentConfig, force: bool = False):
     """Any scenario on the stored edges; S1 trains its VAEs here, never reading ``vaes/``."""
-    bundle, assignment, edges = _load_inputs(cfg)
-    s1_vae = cfg.scenario_name == "S1" and cfg.fill_policy == "vae"
-    vaes = [v for v, _ in _train_vaes(cfg, bundle["train"], assignment, edges)] if s1_vae else None
-    return _run_and_write(cfg, force, bundle, assignment, edges, vaes)
+    return _run_and_write(cfg, force, vaes_stored=False)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .ensemble import (EnsembleConfig, _as_conv_input, build_ensemble_dataset, e
                        train_ensemble)
 from .io import atomic_write
 from .seeding import derived_seed, rng_from
-from .vae import Vae, fill, missing_slot_latents
+from .vae import Received, Vae, fill, missing_slot_latents
 from .vae import train_vae  # unused: kept for perfbench/tracer.py, which patches it here
 
 SCENARIOS = ("S1", "S2", "S3")
@@ -267,13 +267,13 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
     """Drive one full scenario with already-trained edges and report on the
     test split.
 
-    S1 fills the stored training matrix with the caller's per-edge ``vaes``
-    (needed only by the ``vae`` policy) and fits the ensemble on it. S2/S3
-    ignore ``vaes`` and stream mini-batches: per round each edge's rows feed
-    one step of a stacked VAE trained here, missing slots are decoded with
-    its current weights, and the ensemble takes ``reuse`` steps on the
-    batch. A regression report's binned accuracy uses ``bin_edges``, the
-    training split's target bins.
+    S1 receives the whole training matrix, fills it with ``vae.fill`` (the
+    ``vae`` policy decodes with the caller's per-edge ``vaes``) and fits the
+    ensemble on it. S2/S3 ignore ``vaes`` and stream mini-batches (see
+    ``_fit_streaming``). The test split is filled by the same ``fill``: with
+    the final per-edge VAEs, or with the ``mean``/``max`` statistics of every
+    training receipt. A regression report's binned accuracy uses
+    ``bin_edges``, the training split's target bins.
     """
     n_total = len(train_ds)
     n_per_edge = [len(ix) for ix in assignment.train_indices]
@@ -281,21 +281,23 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
     ledger = account(scenario_cfg, schedule, n_total=n_total,
                      feature_width=ens_cfg.feature_width)
     labels = np.asarray(train_ds.labels)
+    values, mask = stack_embeddings(edges, train_ds, assignment.train_indices)
     fill_seed = derived_seed(seed, "fill")
+    received = Received(len(edges), ens_cfg.feature_width) if policy in ("mean", "max") else None
 
     if scenario_cfg.scenario == "S1":
-        vaes = list(vaes) if vaes is not None else []
-        values = build_ensemble_dataset(edges, vaes, train_ds, assignment.train_indices,
-                                        policy=policy, fill_seed=fill_seed)
-        model, trace = train_ensemble(values, labels, replace(
-            ens_cfg, epochs=scenario_cfg.ep_ens, batch_size=scenario_cfg.batch_size))
+        if received is not None:
+            received.add(values, mask)
+        values = fill(policy, values, mask, vaes=vaes, seed=fill_seed, received=received)
+        model, trace = train_ensemble(values, labels, ens_cfg, epochs=scenario_cfg.ep_ens,
+                                      batch_size=scenario_cfg.batch_size)
         vae_trace = np.zeros((0, len(edges)))
     else:
-        model, trace, vaes, vae_trace = _fit_streaming(scenario_cfg, edges, train_ds, assignment,
-                                                       ens_cfg, policy, seed)
+        model, trace, vaes, vae_trace = _fit_streaming(scenario_cfg, values, mask, labels,
+                                                       ens_cfg, policy, seed, received)
 
     test_values = build_ensemble_dataset(edges, vaes, test_ds, assignment.test_indices,
-                                         policy=policy, fill_seed=fill_seed)
+                                         policy=policy, fill_seed=fill_seed, received=received)
     preds = predict(model, test_values, task=ens_cfg.task)
     if ens_cfg.task == "classification":
         scores = predict_proba(model, test_values)
@@ -303,30 +305,24 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
                           scores=scores, n_classes=ens_cfg.n_outputs)
     else:
         report = evaluate(preds, test_ds.labels, "regression", bin_edges=bin_edges)
-    return ScenarioRun(model=model, ledger=ledger, report=report, vaes=list(vaes),
+    return ScenarioRun(model=model, ledger=ledger, report=report, vaes=list(vaes or ()),
                        train_trace=trace, vae_trace=vae_trace, predictions=preds,
                        config=scenario_cfg)
 
 
-def _fit_streaming(scenario_cfg: ScenarioConfig, edges, train_ds, assignment,
-                   ens_cfg: EnsembleConfig, policy: str, seed):
-    """S2/S3: per received batch, one stacked VAE step and one decode of the
-    missing slots for all edges, then the ensemble steps. Returns (model,
-    ensemble loss trace, per-edge VAEs, (rounds, N) VAE loss trace)."""
-    values, mask = stack_embeddings(edges, train_ds, assignment.train_indices)
-    labels = np.asarray(train_ds.labels)
-    n_total = len(train_ds)
-    width = ens_cfg.feature_width
-    n_edges = len(edges)
-    fill_seed = derived_seed(seed, "fill")
-
-    vaes = Vae(width, seed=[derived_seed(seed, "vae", i) for i in range(n_edges)])
+def _fit_streaming(scenario_cfg: ScenarioConfig, values, mask, labels, ens_cfg: EnsembleConfig,
+                   policy: str, seed, received: Optional[Received]):
+    """S2/S3 on the stacked training split: per received batch, one stacked
+    VAE step, its receipts added to ``received`` (``mean``/``max`` only), one
+    ``fill`` of its missing slots (``vae`` decodes with the stack's current
+    weights), then the ensemble steps. Returns (model, ensemble loss trace,
+    per-edge VAEs, (rounds, N) VAE loss trace)."""
+    n_total, n_edges = mask.shape
+    vaes = Vae(ens_cfg.feature_width, seed=[derived_seed(seed, "vae", i) for i in range(n_edges)])
     vae_rngs = [rng_from(seed, "vae-train", i) for i in range(n_edges)]
     edge_ix = np.arange(n_edges)[:, None]
-
     # latents are fixed per (edge, sample) slot for the whole run
-    if policy == "vae":
-        slot_z = missing_slot_latents(mask, fill_seed)
+    slot_z = missing_slot_latents(mask, derived_seed(seed, "fill")) if policy == "vae" else None
 
     model = make_ensemble_model(ens_cfg)
     opt = nn.Adam(ens_cfg.lr)
@@ -340,22 +336,16 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, edges, train_ds, assignment,
         epoch = seen // n_total * reuse         # ensemble epoch of this batch's first step
         seen += len(batch_idx)
         with nn.epoch_scope(epoch):             # NonFiniteError names the epoch
-            batch_vals = values[batch_idx]
-            held = mask[batch_idx].T            # (N, b): edge i sent row j
+            batch_vals, batch_mask = values[batch_idx], mask[batch_idx]
+            held = batch_mask.T                 # (N, b): edge i sent row j
             counts = held.sum(axis=1)
             # one stacked VAE step; edge i trains on the rows it sent, in batch order
             order = np.argsort(~held, axis=1, kind="stable")[:, :counts.max()]
             vae_trace.append(vaes.train_step(batch_vals[order, edge_ix], vae_rngs, counts))
-            # impute the batch's missing slots with the current decoders
-            if policy == "vae":
-                gaps = len(batch_idx) - counts
-                if gaps.any():
-                    order = np.argsort(held, axis=1, kind="stable")[:, :gaps.max()]
-                    out = vaes.decode(slot_z[edge_ix, batch_idx[order]])
-                    e, j = np.nonzero(np.arange(order.shape[1]) < gaps[:, None])
-                    batch_vals[order[e, j], e] = out[e, j]
-            else:
-                batch_vals = fill(policy, batch_vals, held.T)
+            if received is not None:
+                received.add(batch_vals, batch_mask)
+            batch_vals = fill(policy, batch_vals, batch_mask, vaes=[vaes], latents=slot_z,
+                              rows=batch_idx, received=received)
             x = _as_conv_input(batch_vals)
             y = labels[batch_idx]
             trace += [nn.train_step(model, opt, x, y, loss=ens_cfg.loss, n_classes=n_classes,

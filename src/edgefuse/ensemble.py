@@ -18,7 +18,7 @@ from .datasets import Dataset
 from .edge import EdgeArtifact, batched_forward, edge_predict_proba, extract_embeddings
 from .metrics import MetricReport, classification_report, regression_report
 from .seeding import derived_seed, rng_from
-from .vae import Vae, fill
+from .vae import Received, Vae, fill
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,7 @@ class EnsembleConfig:
     n_outputs: int                      # classes, or 1 for regression
     n_filters: int = 64
     hidden: int = 64
-    epochs: int = 100
     lr: float = 1e-4
-    batch_size: int = 128
     seed: int = 0
 
     def resolved_kernel(self) -> tuple[int, int]:
@@ -66,12 +64,12 @@ def stack_embeddings(edges: Sequence[EdgeArtifact], dataset: Dataset, index_sets
 
 def build_ensemble_dataset(edges: Sequence[EdgeArtifact], vaes: Optional[Sequence[Vae]],
                            dataset: Dataset, index_sets, *, policy: str = "vae",
-                           fill_seed=0) -> np.ndarray:
+                           fill_seed=0, received: Optional[Received] = None) -> np.ndarray:
     """The filled (n, N, width) float32 array of every edge's embeddings for
     all dataset rows: slot (k, i) holds edge i's real embedding when k is in
-    ``index_sets[i]``, and is filled per the policy otherwise."""
+    ``index_sets[i]``, and is filled by ``vae.fill`` otherwise."""
     values, mask = stack_embeddings(edges, dataset, index_sets)
-    return fill(policy, values, mask, vaes=vaes, seed=fill_seed)
+    return fill(policy, values, mask, vaes=vaes, seed=fill_seed, received=received)
 
 
 def make_ensemble_model(config: EnsembleConfig) -> nn.Model:
@@ -95,7 +93,8 @@ def _as_conv_input(values: np.ndarray) -> np.ndarray:
     return values.reshape(n, 1, n_edges, width)
 
 
-def train_ensemble(values: np.ndarray, labels, config: EnsembleConfig):
+def train_ensemble(values: np.ndarray, labels, config: EnsembleConfig, *, epochs: int,
+                   batch_size: int):
     """Train the meta-learner on a filled (n, N, width) array; returns (model, loss trace)."""
     y = np.asarray(labels)
     if len(y) != len(values):
@@ -103,8 +102,7 @@ def train_ensemble(values: np.ndarray, labels, config: EnsembleConfig):
     model = make_ensemble_model(config)
     rng = rng_from(config.seed, "ensemble-shuffle")
     trace = nn.fit(model, _as_conv_input(values), y, loss=config.loss,
-                   optimizer=nn.Adam(config.lr), epochs=config.epochs,
-                   batch_size=config.batch_size, rng=rng,
+                   optimizer=nn.Adam(config.lr), epochs=epochs, batch_size=batch_size, rng=rng,
                    n_classes=config.n_outputs if config.task == "classification" else None)
     return model, trace
 

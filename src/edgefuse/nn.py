@@ -91,6 +91,8 @@ class LayerSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LayerSpec":
+        if "kind" not in d:
+            raise ValueError(f"specs entry {d!r} lacks key 'kind'")
         return LayerSpec(
             kind=d["kind"],
             kernel=tuple(d["kernel"]) if d.get("kernel") else None,

@@ -11,8 +11,13 @@ one (N, P) ``nn.Module`` buffer). One edge's VAE is a stack of one; a streaming
 run's N VAEs are one stack, so a round is one ``train_step`` and one ``decode``.
 
 Filling takes the server's stacked (n, N, width) float32 matrix and its (n, N)
-mask of received slots. The latents of its missing slots are one (N, n, latent)
-float32 array keyed by row: a slot draws one latent for the whole run.
+mask of received slots, and fills missing slot (r, i) by one of four policies:
+``vae`` decodes the slot's own latent with edge i's VAE (the latents are one
+(N, n, latent) float32 array keyed by row: a slot draws one latent for the
+whole run); ``zero`` writes zeros; ``mean``/``max`` write the running mean /
+coordinatewise max of every row the server has received from edge i in
+training so far, a re-sent row counting again, and zeros before edge i's first
+receipt. The test split is filled with the statistics after the last receipt.
 """
 
 from __future__ import annotations
@@ -182,37 +187,61 @@ def missing_slot_latents(mask: np.ndarray, seed, latent_dim: int = LATENT_DIM) -
     return z
 
 
-def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
-         vaes: Optional[Sequence[Vae]] = None, seed=0) -> np.ndarray:
-    """Fill missing (row, edge) slots; received slots are returned untouched.
+class Received:
+    """Running count, float64 sum and coordinatewise max of each edge's received rows."""
 
-    values: (n, N, width); mask: (n, N) with True = received from the edge.
-    The VAE policy decodes row r's latent for edge i with edge i's VAE;
-    zero/mean/max use only that edge's successfully received vectors.
+    def __init__(self, n_edges: int, width: int):
+        self.count, self.total = np.zeros(n_edges, dtype=np.int64), np.zeros((n_edges, width))
+        self.peak = np.full((n_edges, width), -np.inf)
+
+    def add(self, values: np.ndarray, mask: np.ndarray) -> "Received":
+        """Add the received slots (``mask`` True) of an (n, N, width) batch."""
+        self.count += mask.sum(axis=0)
+        self.total += np.where(mask[..., None], values, 0).sum(axis=0, dtype=np.float64)
+        self.peak = np.maximum(self.peak, np.where(mask[..., None], values, -np.inf).max(
+            axis=0, initial=-np.inf))
+        return self
+
+    def vectors(self, policy: str) -> np.ndarray:
+        """The (N, width) ``mean`` or ``max`` vectors, zero before an edge's first receipt."""
+        return (self.total / np.maximum(self.count, 1)[:, None] if policy == "mean"
+                else np.where(self.count[:, None] > 0, self.peak, 0.0))
+
+
+def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
+         vaes: Optional[Sequence[Vae]] = None, seed=0, latents=None, rows=None,
+         received: Optional[Received] = None) -> np.ndarray:
+    """Fill the slots of ``values`` (n, N, width) where ``mask`` (n, N) is False
+    by ``policy``; received slots are returned untouched.
+
+    ``vaes`` are stacks whose members, in order, are the N edges; each stack
+    decodes its members' missing slots, padded to the largest gap, in one call.
+    ``latents`` (N, m, latent) with ``rows``, the row of ``latents`` of each row
+    of ``values``, default to ``missing_slot_latents(mask, seed)`` row for row.
+    ``mean``/``max`` read ``received``, by default ``Received(N, width).add(values,
+    mask)``: one receipt of the received rows of ``values``, as S1 adds its training split.
     """
     if policy not in FILL_POLICIES:
         raise ValueError(f"unknown fill policy {policy!r}")
     n, n_edges, width = values.shape
     if mask.shape != (n, n_edges):
         raise nn.ShapeMismatchError(f"mask {mask.shape} does not match values {values.shape}")
-    if policy == "vae" and (vaes is None or len(vaes) != n_edges):
-        raise ValueError("vae policy needs one VAE per edge")
-    out = values.copy()
-    if mask.all():
-        return out
-    z = missing_slot_latents(mask, seed) if policy == "vae" else None
-    for i in range(n_edges):
-        rows = np.nonzero(~mask[:, i])[0]
-        if rows.size == 0:
-            continue
-        if policy == "vae":
-            fill_vec = vaes[i].decode(z[i:i + 1, rows])[0]
-        elif policy == "zero":
-            fill_vec = np.zeros(width, dtype=values.dtype)
-        else:
-            received = values[mask[:, i], i, :]
-            if received.shape[0] == 0:
-                raise ValueError(f"edge {i}: no received vectors to take the {policy} of")
-            fill_vec = received.mean(axis=0) if policy == "mean" else received.max(axis=0)
-        out[rows, i, :] = fill_vec
+    if policy == "vae" and (vaes is None or sum(v.members for v in vaes) != n_edges):
+        raise ValueError("vae policy needs one VAE per edge, as stacks in edge order")
+    if policy != "vae":
+        vectors = np.zeros((n_edges, width))
+        if policy != "zero":
+            vectors = (received or Received(n_edges, width).add(values, mask)).vectors(policy)
+        return np.where(mask[..., None], values, vectors.astype(values.dtype))
+    if latents is None:
+        latents, rows = missing_slot_latents(mask, seed), np.arange(n)
+    out, gaps, first = values.copy(), n - mask.sum(axis=0), 0
+    order = np.argsort(mask.T, axis=1, kind="stable")      # per edge: its missing rows first
+    for stack in vaes:
+        k, first = slice(first, first + stack.members), first + stack.members
+        if gaps[k].any():
+            o = order[k, :gaps[k].max()]
+            decoded = stack.decode(latents[k][np.arange(stack.members)[:, None], rows[o]])
+            e, j = np.nonzero(np.arange(o.shape[1]) < gaps[k, None])
+            out[o[e, j], k.start + e] = decoded[e, j]
     return out

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgefuse import cli, io, nn
+from edgefuse import cli, comms, io, nn
 from edgefuse.cli import main
 from edgefuse.config import ConfigError, ExperimentConfig
 
@@ -190,6 +190,25 @@ def test_simulate_streaming_scenario(tmp_path, capsys):
     with open(tmp_path / "run" / "ledger.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == out["comm_count"] * 2
+
+
+@pytest.mark.parametrize("policy", ["mean", "max"])
+def test_streaming_mean_and_max_fill_an_edge_that_has_sent_nothing_yet(tmp_path, policy):
+    # at seed 19 and alpha 0.1 an early S3 batch holds no row of edge 0
+    cfg = dict(micro_config(tmp_path, seed=19, scenario="S3", alpha=0.1), fill_policy=policy)
+    run_stages(write_config(tmp_path, cfg), "partition", "train-edges", "simulate")
+
+
+def test_finished_run_is_refused_before_anything_trains(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(tmp_path, micro_config(tmp_path))
+    run_stages(cfg_path, "partition", "train-edges", "train-vaes", "train-ensemble")
+    calls = []
+    monkeypatch.setattr(comms, "run_scenario", lambda *a, **k: calls.append("run_scenario"))
+    monkeypatch.setattr(cli, "_train_vaes", lambda *a, **k: calls.append("_train_vaes"))
+    for stage in ("train-ensemble", "simulate"):
+        assert main([stage, "--config", cfg_path]) == 2
+        assert "ensemble.npz exists" in capsys.readouterr().err
+    assert calls == []
 
 
 def _run_outputs(run: Path):
@@ -488,6 +507,9 @@ BAD_INPUTS = {
         "edge", lambda a, m: m.update(task="bogus")), "edge_000.npz: header task 'bogus'"),
     "edge header specs without an embedding layer": (_edited_artifact(
         "edge", lambda a, m: m.update(specs=[{"kind": "dense"}])), "edge_000.npz: header specs"),
+    "edge header specs entry without kind": (_edited_artifact(
+        "edge", lambda a, m: m.update(specs=[{"units": 8}])),
+        "edge_000.npz: header specs entry {'units': 8} lacks key 'kind'"),
     "vae header steps_run a string": (_edited_artifact(
         "vae", lambda a, m: m.update(steps_run="x")),
         "vae_000.npz: header steps_run must be an integer, got 'x'"),

@@ -244,7 +244,7 @@ def micro_setup():
                               lr=0.02, batch_size=16)
         edges.append(train_edge(cfg, train, asg.train_indices[i]))
     ens_cfg = EnsembleConfig(n_edges=n_edges, feature_width=64, task="classification",
-                             n_outputs=c, epochs=4, lr=1e-3, batch_size=16, seed=5)
+                             n_outputs=c, lr=1e-3, seed=5)
     return train, test, asg, edges, ens_cfg
 
 
@@ -305,6 +305,24 @@ def test_s1_vae_policy_needs_the_callers_vaes(micro_setup, s1_vaes):
     for vaes in (None, s1_vaes[:1]):
         with pytest.raises(ValueError, match="one VAE per edge"):
             run_scenario(cfg, edges, train, test, asg, ens_cfg=ens_cfg, policy="vae", vaes=vaes)
+
+
+@pytest.mark.parametrize("name", ["S1", "S3"])
+def test_test_split_mean_and_max_come_from_the_training_receipts(micro_setup, monkeypatch, name):
+    # every training row is received the same number of times in every
+    # scenario, so the statistics are those of each edge's training embeddings
+    train, test, asg, edges, ens_cfg = micro_setup
+    filled, build = [], comms.build_ensemble_dataset
+    monkeypatch.setattr(comms, "build_ensemble_dataset",
+                        lambda *a, **k: filled.append(build(*a, **k)) or filled[-1])
+    for policy, reduce in (("mean", np.mean), ("max", np.max)):
+        run_scenario(ScenarioConfig(name, ep_ens=2, batch_size=16), edges, train, test, asg,
+                     ens_cfg=ens_cfg, policy=policy, seed=3)
+        for i, art in enumerate(edges):
+            gaps = np.setdiff1d(np.arange(len(test)), asg.test_indices[i])
+            assert gaps.size
+            emb = extract_embeddings(art, train, asg.train_indices[i]).astype(np.float64)
+            assert np.allclose(filled[-1][gaps, i], reduce(emb, axis=0), rtol=1e-5, atol=1e-6)
 
 
 def _drop_last_batch(stream):

@@ -154,8 +154,8 @@ def test_single_class_labels_learned_exactly():
     mat, _ = _toy_matrix()
     labels = np.full(len(mat), 2)
     cfg = EnsembleConfig(n_edges=4, feature_width=8, task="classification",
-                         n_outputs=3, epochs=60, lr=0.01, batch_size=16, seed=1)
-    model, trace = train_ensemble(mat, labels, cfg)
+                         n_outputs=3, lr=0.01, seed=1)
+    model, trace = train_ensemble(mat, labels, cfg, epochs=60, batch_size=16)
     assert np.all(predict(model, mat) == 2)
     assert trace[-1] < 0.05
 
@@ -163,8 +163,8 @@ def test_single_class_labels_learned_exactly():
 def test_batch_of_one_matches_batched_inference():
     mat, labels = _toy_matrix(seed=4)
     cfg = EnsembleConfig(n_edges=4, feature_width=8, task="classification",
-                         n_outputs=2, epochs=3, lr=0.01, batch_size=16, seed=3)
-    model, _ = train_ensemble(mat, labels, cfg)
+                         n_outputs=2, lr=0.01, seed=3)
+    model, _ = train_ensemble(mat, labels, cfg, epochs=3, batch_size=16)
     batched = ensemble_logits(model, mat)
     singles = np.concatenate([ensemble_logits(model, mat[i:i + 1])
                               for i in range(len(labels))])
@@ -178,8 +178,8 @@ def test_regression_head_predicts_reals():
     values = rng.normal(size=(n, 4, 8)).astype(np.float32)
     target = values[:, 0, 0].astype(np.float64) * 2.0
     cfg = EnsembleConfig(n_edges=4, feature_width=8, task="regression",
-                         n_outputs=1, epochs=80, lr=0.02, batch_size=16, seed=4)
-    model, trace = train_ensemble(values, target, cfg)
+                         n_outputs=1, lr=0.02, seed=4)
+    model, trace = train_ensemble(values, target, cfg, epochs=80, batch_size=16)
     preds = predict(model, values, task="regression")
     assert preds.shape == (n,)
     assert trace[-1] < trace[0]
@@ -188,9 +188,9 @@ def test_regression_head_predicts_reals():
 def test_misaligned_labels_rejected():
     mat, labels = _toy_matrix()
     cfg = EnsembleConfig(n_edges=4, feature_width=8, task="classification",
-                         n_outputs=2, epochs=1, seed=0)
+                         n_outputs=2, seed=0)
     with pytest.raises(nn.ShapeMismatchError):
-        train_ensemble(mat, labels[:-3], cfg)
+        train_ensemble(mat, labels[:-3], cfg, epochs=1, batch_size=128)
 
 
 # ---------------------------------------------------------------------------

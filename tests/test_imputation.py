@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from edgefuse.vae import (FILL_POLICIES, Vae, _kl_terms, fill, missing_slot_latents,
-                          slot_latent, train_vae)
+from edgefuse.vae import (FILL_POLICIES, Received, Vae, _kl_terms, fill,
+                          missing_slot_latents, slot_latent, train_vae)
 
 from helpers import max_rel_err, numeric_grad
 
@@ -191,16 +191,71 @@ def test_vae_policy_uses_matching_edge_model():
     assert np.allclose(out[1, 2], vaes[2].decode(z2[None, None])[0, 0])
 
 
-def test_mean_policy_without_received_vectors_errors():
+def test_an_edge_with_no_receipt_fills_with_zero():
     values, mask = _matrix(n=3)
     mask[:, 1] = False
-    with pytest.raises(ValueError, match="no received vectors"):
-        fill("mean", values, mask)
-    with pytest.raises(ValueError, match="no received vectors"):
-        fill("max", values, mask)
-    # zero policy has no such requirement
-    out = fill("zero", values, mask)
-    assert np.all(out[:, 1] == 0.0)
+    for policy in ("zero", "mean", "max"):
+        out = fill(policy, values, mask)
+        assert np.all(out[:, 1] == 0.0), policy
+        assert np.array_equal(out[:, 0], values[:, 0])
+    # the running statistics likewise, until the edge's first receipt
+    received = Received(3, 4).add(values, mask)
+    assert np.all(received.vectors("mean")[1] == 0.0) and np.all(received.vectors("max")[1] == 0.0)
+
+
+def test_running_mean_and_max_cover_every_round_so_far():
+    """Over a random sequence of batches and masks, a mean (max) slot filled in
+    round k holds the mean (max) of every row its edge sent in rounds 1..k,
+    and zero while the edge has sent none."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(rounds=st.integers(1, 5), b=st.integers(1, 4), n_edges=st.integers(1, 3),
+                      width=st.integers(1, 4), p_received=st.floats(0.0, 1.0),
+                      seed=st.integers(0, 2**16))
+    def check(rounds, b, n_edges, width, p_received, seed):
+        rng = np.random.default_rng(seed)
+        received = Received(n_edges, width)
+        sent = [np.zeros((0, width)) for _ in range(n_edges)]
+        for _ in range(rounds):
+            values = rng.normal(size=(b, n_edges, width)).astype(np.float32)
+            mask = rng.random((b, n_edges)) < p_received
+            received.add(values, mask)
+            sent = [np.concatenate([s, values[mask[:, i], i]]) for i, s in enumerate(sent)]
+            mean, peak = fill("mean", values, mask, received=received), fill(
+                "max", values, mask, received=received)
+            for i, rows in enumerate(sent):
+                gaps = ~mask[:, i]
+                if not len(rows):
+                    assert np.all(mean[gaps, i] == 0) and np.all(peak[gaps, i] == 0)
+                    continue
+                assert np.allclose(mean[gaps, i], rows.mean(axis=0), rtol=1e-6, atol=1e-6)
+                assert np.array_equal(peak[gaps, i], np.broadcast_to(
+                    rows.max(axis=0).astype(np.float32), peak[gaps, i].shape))
+
+    check()
+
+
+def test_one_stack_fills_as_its_members_do():
+    values, mask = _matrix(n=6)
+    mask &= np.random.default_rng(4).random(mask.shape) > 0.5
+    stack = Vae(4, seed=[3, 4, 5])
+    together = fill("vae", values, mask, vaes=[stack], seed=8)
+    apart = fill("vae", values, mask, vaes=[stack.member(i) for i in range(3)], seed=8)
+    assert np.allclose(together, apart, rtol=1e-5, atol=1e-6)
+    assert np.array_equal(together[mask], values[mask])
+
+
+def test_a_batch_draws_the_latents_of_its_rows_in_the_run():
+    values, mask = _matrix(n=8)
+    mask &= np.random.default_rng(5).random(mask.shape) > 0.5
+    vaes = [Vae(4, seed=i) for i in range(3)]
+    whole = fill("vae", values, mask, vaes=vaes, seed=6)
+    rows = np.array([6, 1, 3])
+    batch = fill("vae", values[rows], mask[rows], vaes=vaes, latents=missing_slot_latents(
+        mask, 6), rows=rows)
+    assert np.allclose(batch, whole[rows], rtol=1e-5, atol=1e-6)    # decoded in other batches
 
 
 def test_unknown_policy_rejected():
