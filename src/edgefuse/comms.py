@@ -270,8 +270,10 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
     S1 receives the whole training matrix, fills it with ``vae.fill`` (the
     ``vae`` policy decodes with the caller's per-edge ``vaes``) and fits the
     ensemble on it. S2/S3 ignore ``vaes`` and stream mini-batches (see
-    ``_fit_streaming``). The test split is filled by the same ``fill``: with
-    the final per-edge VAEs, or with the ``mean``/``max`` statistics of every
+    ``_fit_streaming``). The training matrix and its mask are released once
+    the ensemble is trained, before the test split is built. The test split is
+    filled by the same ``fill``: with the final per-edge VAEs (S2/S3: their
+    stack, in one decode), or with the ``mean``/``max`` statistics of every
     training receipt. A regression report's binned accuracy uses
     ``bin_edges``, the training split's target bins.
     """
@@ -288,13 +290,15 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
     if scenario_cfg.scenario == "S1":
         if received is not None:
             received.add(values, mask)
-        values = fill(policy, values, mask, vaes=vaes, seed=fill_seed, received=received)
+        fill(policy, values, mask, vaes=vaes, seed=fill_seed, received=received)
         model, trace = train_ensemble(values, labels, ens_cfg, epochs=scenario_cfg.ep_ens,
                                       batch_size=scenario_cfg.batch_size)
         vae_trace = np.zeros((0, len(edges)))
     else:
-        model, trace, vaes, vae_trace = _fit_streaming(scenario_cfg, values, mask, labels,
-                                                       ens_cfg, policy, seed, received)
+        model, trace, stack, vae_trace = _fit_streaming(scenario_cfg, values, mask, labels,
+                                                        ens_cfg, policy, seed, received)
+        vaes = [stack]
+    del values, mask
 
     test_values = build_ensemble_dataset(edges, vaes, test_ds, assignment.test_indices,
                                          policy=policy, fill_seed=fill_seed, received=received)
@@ -305,7 +309,8 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
                           scores=scores, n_classes=ens_cfg.n_outputs)
     else:
         report = evaluate(preds, test_ds.labels, "regression", bin_edges=bin_edges)
-    return ScenarioRun(model=model, ledger=ledger, report=report, vaes=list(vaes or ()),
+    return ScenarioRun(model=model, ledger=ledger, report=report,
+                       vaes=[v.member(i) for v in vaes or () for i in range(v.members)],
                        train_trace=trace, vae_trace=vae_trace, predictions=preds,
                        config=scenario_cfg)
 
@@ -316,7 +321,7 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, values, mask, labels, ens_cfg: 
     VAE step, its receipts added to ``received`` (``mean``/``max`` only), one
     ``fill`` of its missing slots (``vae`` decodes with the stack's current
     weights), then the ensemble steps. Returns (model, ensemble loss trace,
-    per-edge VAEs, (rounds, N) VAE loss trace)."""
+    the stack of per-edge VAEs, (rounds, N) VAE loss trace)."""
     n_total, n_edges = mask.shape
     vaes = Vae(ens_cfg.feature_width, seed=[derived_seed(seed, "vae", i) for i in range(n_edges)])
     vae_rngs = [rng_from(seed, "vae-train", i) for i in range(n_edges)]
@@ -344,8 +349,8 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, values, mask, labels, ens_cfg: 
             vae_trace.append(vaes.train_step(batch_vals[order, edge_ix], vae_rngs, counts))
             if received is not None:
                 received.add(batch_vals, batch_mask)
-            batch_vals = fill(policy, batch_vals, batch_mask, vaes=[vaes], latents=slot_z,
-                              rows=batch_idx, received=received)
+            fill(policy, batch_vals, batch_mask, vaes=[vaes], latents=slot_z, rows=batch_idx,
+                 received=received)
             x = _as_conv_input(batch_vals)
             y = labels[batch_idx]
             trace += [nn.train_step(model, opt, x, y, loss=ens_cfg.loss, n_classes=n_classes,
@@ -355,4 +360,4 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, values, mask, labels, ens_cfg: 
         raise StreamScheduleError(f"stream visited samples {visits.min()}..{visits.max()} "
                                   f"times, not ep_ens={scenario_cfg.ep_ens}")
     vae_trace = np.array(vae_trace).reshape(-1, n_edges)
-    return model, trace, [vaes.member(i) for i in range(n_edges)], vae_trace
+    return model, trace, vaes, vae_trace

@@ -11,11 +11,11 @@ one (N, P) ``nn.Module`` buffer). One edge's VAE is a stack of one; a streaming
 run's N VAEs are one stack, so a round is one ``train_step`` and one ``decode``.
 
 Filling takes the server's stacked (n, N, width) float32 matrix and its (n, N)
-mask of received slots, and fills missing slot (r, i) by one of four policies:
-``vae`` decodes the slot's own latent with edge i's VAE (the latents are one
-(N, n, latent) float32 array keyed by row: a slot draws one latent for the
-whole run); ``zero`` writes zeros; ``mean``/``max`` write the running mean /
-coordinatewise max of every row the server has received from edge i in
+mask of received slots, and writes missing slot (r, i) in place by one of four
+policies: ``vae`` decodes the slot's own latent with edge i's VAE (a slot draws
+one latent for the whole run, keyed by row; ``fill`` draws them one stack of
+VAEs at a time); ``zero`` writes zeros; ``mean``/``max`` write the running
+mean / coordinatewise max of every row the server has received from edge i in
 training so far, a re-sent row counting again, and zeros before edge i's first
 receipt. The test split is filled with the statistics after the last receipt.
 """
@@ -84,10 +84,11 @@ class Vae(nn.Module):
         return mu, logvar, (h, a)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        """Latents (N, B, latent) to embeddings (N, B, width)."""
-        h = self.dec_hidden.forward(np.asarray(z, dtype=self.dtype))
-        a = nn.relu_forward(h)
-        return self.dec_out.forward(a)
+        """Latents (N, B, latent) to embeddings (N, B, width). Inference only:
+        no layer keeps its input for a backward pass."""
+        hidden, out = self.dec_hidden.params, self.dec_out.params
+        h = nn.dense_forward(np.asarray(z, dtype=self.dtype), hidden["w"], hidden["b"])
+        return nn.dense_forward(nn.relu_forward(h), out["w"], out["b"])
 
     # -- training -----------------------------------------------------------
 
@@ -177,13 +178,15 @@ def slot_latent(seed, edge_id: int, sample_index: int, latent_dim: int = LATENT_
     return rng.standard_normal(latent_dim)
 
 
-def missing_slot_latents(mask: np.ndarray, seed, latent_dim: int = LATENT_DIM) -> np.ndarray:
-    """The (N, n, latent_dim) float32 latents of an (n, N) mask: slot (r, i)
-    holds ``slot_latent(seed, i, r)`` where ``mask[r, i]`` is False, 0 where
-    the slot was received."""
+def missing_slot_latents(mask: np.ndarray, seed, first_edge: int = 0,
+                         latent_dim: int = LATENT_DIM) -> np.ndarray:
+    """The (N, n, latent_dim) float32 latents of an (n, N) mask whose column i
+    is edge ``first_edge + i``: slot (r, i) holds ``slot_latent(seed,
+    first_edge + i, r)`` where ``mask[r, i]`` is False, 0 where the slot was
+    received."""
     z = np.zeros((mask.shape[1], mask.shape[0], latent_dim), dtype=np.float32)
     for r, i in zip(*np.nonzero(~mask)):
-        z[i, r] = slot_latent(seed, int(i), int(r), latent_dim)
+        z[i, r] = slot_latent(seed, first_edge + int(i), int(r), latent_dim)
     return z
 
 
@@ -212,12 +215,14 @@ def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
          vaes: Optional[Sequence[Vae]] = None, seed=0, latents=None, rows=None,
          received: Optional[Received] = None) -> np.ndarray:
     """Fill the slots of ``values`` (n, N, width) where ``mask`` (n, N) is False
-    by ``policy``; received slots are returned untouched.
+    by ``policy``, in place, and return ``values``; received slots are left
+    untouched.
 
     ``vaes`` are stacks whose members, in order, are the N edges; each stack
     decodes its members' missing slots, padded to the largest gap, in one call.
     ``latents`` (N, m, latent) with ``rows``, the row of ``latents`` of each row
-    of ``values``, default to ``missing_slot_latents(mask, seed)`` row for row.
+    of ``values``, default to ``missing_slot_latents`` of each stack's columns of
+    ``mask``, drawn one stack at a time: the latents of the whole-mask draw.
     ``mean``/``max`` read ``received``, by default ``Received(N, width).add(values,
     mask)``: one receipt of the received rows of ``values``, as S1 adds its training split.
     """
@@ -232,16 +237,18 @@ def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
         vectors = np.zeros((n_edges, width))
         if policy != "zero":
             vectors = (received or Received(n_edges, width).add(values, mask)).vectors(policy)
-        return np.where(mask[..., None], values, vectors.astype(values.dtype))
+        np.copyto(values, vectors[None], where=~mask[..., None])
+        return values
     if latents is None:
-        latents, rows = missing_slot_latents(mask, seed), np.arange(n)
-    out, gaps, first = values.copy(), n - mask.sum(axis=0), 0
+        rows = np.arange(n)
+    gaps, first = n - mask.sum(axis=0), 0
     order = np.argsort(mask.T, axis=1, kind="stable")      # per edge: its missing rows first
     for stack in vaes:
         k, first = slice(first, first + stack.members), first + stack.members
         if gaps[k].any():
             o = order[k, :gaps[k].max()]
-            decoded = stack.decode(latents[k][np.arange(stack.members)[:, None], rows[o]])
+            z = missing_slot_latents(mask[:, k], seed, k.start) if latents is None else latents[k]
+            decoded = stack.decode(z[np.arange(stack.members)[:, None], rows[o]])
             e, j = np.nonzero(np.arange(o.shape[1]) < gaps[k, None])
-            out[o[e, j], k.start + e] = decoded[e, j]
-    return out
+            values[o[e, j], k.start + e] = decoded[e, j]
+    return values

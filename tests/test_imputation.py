@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,7 @@ def test_fully_available_is_noop_for_every_policy():
     values, mask = _matrix()
     vaes = [Vae(4, seed=i) for i in range(3)]
     for policy in ("vae", "zero", "mean", "max"):
-        out = fill(policy, values, mask, vaes=vaes, seed=1)
+        out = fill(policy, values.copy(), mask, vaes=vaes, seed=1)
         assert np.array_equal(out, values)
 
 
@@ -146,16 +148,19 @@ def test_fill_never_mutates_available_slots():
     rng = np.random.default_rng(3)
     mask &= rng.random(mask.shape) > 0.4
     mask[0, :] = True                      # keep at least one received per edge
+    values[~mask] = np.nan                 # a missing slot left unwritten stays NaN
     vaes = [Vae(4, seed=i) for i in range(3)]
     for policy in ("vae", "zero", "mean", "max"):
-        out = fill(policy, values, mask, vaes=vaes, seed=2)
-        assert np.array_equal(out[mask], values[mask])          # bit-identical
-        assert out is not values
+        target = values.copy()
+        out = fill(policy, target, mask, vaes=vaes, seed=2)
+        assert out is target                                    # filled in place
+        assert out[mask].tobytes() == values[mask].tobytes()    # bit-identical
+        assert np.all(np.isfinite(out[~mask])), policy
 
 
 def test_fill_never_changes_a_received_slot():
-    """Any shape, mask and policy: every received slot comes back bit for bit,
-    and the input is not written to."""
+    """Any shape, mask and policy: ``fill`` returns ``values`` itself, every
+    received slot comes back bit for bit, and every missing slot is written."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -169,14 +174,33 @@ def test_fill_never_changes_a_received_slot():
         mask = rng.random((n, n_edges)) < p_received
         if policy in ("mean", "max"):
             mask[rng.integers(0, n, n_edges), np.arange(n_edges)] = True   # one per edge
+        values[~mask] = np.nan
         before = values.copy()
         vaes = [Vae(width, seed=seed + i) for i in range(n_edges)] if policy == "vae" else None
         out = fill(policy, values, mask, vaes=vaes, seed=seed)
-        assert out.shape == values.shape and out.dtype == values.dtype
+        assert out is values and out.shape == before.shape and out.dtype == before.dtype
         assert out[mask].tobytes() == before[mask].tobytes()
-        assert values.tobytes() == before.tobytes()
+        assert np.all(np.isfinite(out[~mask]))
 
     check()
+
+
+def test_vae_fill_allocates_a_fraction_of_its_matrix():
+    """The server's matrix is held once: ``fill`` writes into ``values`` and
+    draws latents one stack at a time, so the call's own peak stays well under
+    the matrix it fills."""
+    rng = np.random.default_rng(21)
+    values = rng.normal(size=(2000, 16, 64)).astype(np.float32)
+    mask = rng.random((2000, 16)) < 0.3
+    vaes = [Vae(64, seed=i) for i in range(16)]
+    tracemalloc.start()
+    try:
+        out = fill("vae", values, mask, vaes=vaes, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is values
+    assert peak < 0.5 * values.nbytes, f"peak {peak} B for a {values.nbytes} B matrix"
 
 
 def test_vae_policy_uses_matching_edge_model():
@@ -223,8 +247,8 @@ def test_running_mean_and_max_cover_every_round_so_far():
             mask = rng.random((b, n_edges)) < p_received
             received.add(values, mask)
             sent = [np.concatenate([s, values[mask[:, i], i]]) for i, s in enumerate(sent)]
-            mean, peak = fill("mean", values, mask, received=received), fill(
-                "max", values, mask, received=received)
+            mean, peak = fill("mean", values.copy(), mask, received=received), fill(
+                "max", values.copy(), mask, received=received)
             for i, rows in enumerate(sent):
                 gaps = ~mask[:, i]
                 if not len(rows):
@@ -241,8 +265,8 @@ def test_one_stack_fills_as_its_members_do():
     values, mask = _matrix(n=6)
     mask &= np.random.default_rng(4).random(mask.shape) > 0.5
     stack = Vae(4, seed=[3, 4, 5])
-    together = fill("vae", values, mask, vaes=[stack], seed=8)
-    apart = fill("vae", values, mask, vaes=[stack.member(i) for i in range(3)], seed=8)
+    together = fill("vae", values.copy(), mask, vaes=[stack], seed=8)
+    apart = fill("vae", values.copy(), mask, vaes=[stack.member(i) for i in range(3)], seed=8)
     assert np.allclose(together, apart, rtol=1e-5, atol=1e-6)
     assert np.array_equal(together[mask], values[mask])
 
@@ -291,6 +315,25 @@ def test_slot_latents_are_keyed_by_row():
             for i in range(n_edges):
                 expected = 0.0 if mask[r, i] else slot_latent(seed, i, r).astype(np.float32)
                 assert np.array_equal(z[i, r], np.broadcast_to(expected, (32,)))
+
+    check()
+
+
+def test_slot_latents_of_a_column_slice_are_the_whole_draws_rows():
+    """Any mask and column slice [a, b): drawn with ``first_edge=a``, the slice's
+    latents are rows a..b of the whole mask's draw."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(n=st.integers(1, 6), n_edges=st.integers(1, 5), data=st.data(),
+                      p_received=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def check(n, n_edges, data, p_received, seed):
+        a = data.draw(st.integers(0, n_edges - 1))
+        b = data.draw(st.integers(a + 1, n_edges))
+        mask = np.random.default_rng(seed).random((n, n_edges)) < p_received
+        whole = missing_slot_latents(mask, seed)
+        assert missing_slot_latents(mask[:, a:b], seed, a).tobytes() == whole[a:b].tobytes()
 
     check()
 
@@ -385,3 +428,14 @@ def test_member_is_a_view_of_the_stack():
     assert not np.any(stack.dec_out.params["b"][[0, 1]] == 7.0)
     z = np.random.default_rng(0).standard_normal((3, 5, 4))
     assert np.allclose(stack.decode(z)[2], member.decode(z[2:3])[0], rtol=1e-5, atol=1e-6)
+
+
+def test_decode_leaves_the_cached_inputs_as_they_were():
+    vae = Vae(8, latent_dim=4, hidden=6, seed=5)
+    z = np.random.default_rng(1).standard_normal((1, 7, 4))
+    vae.decode(z)
+    assert vae.dec_hidden._x is None and vae.dec_out._x is None
+    vae.train_step(np.ones((1, 3, 8), dtype=np.float32), [np.random.default_rng(2)], [3])
+    cached = [layer._x for layer in vae.layers]
+    vae.decode(z)
+    assert all(layer._x is x for layer, x in zip(vae.layers, cached))
