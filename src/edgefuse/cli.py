@@ -1,19 +1,22 @@
 """Experiment orchestration CLI.
 
 Stages are separate subcommands so the edge side and the server side can run
-as different invocations, each persisting versioned artifacts:
+as different invocations; the run directory (``output_dir``) is all that
+passes between them. Each stage owns the run files named beside it:
 
-    edgefuse partition       --config cfg.json
-    edgefuse train-edges     --config cfg.json
-    edgefuse train-vaes      --config cfg.json
-    edgefuse train-ensemble  --config cfg.json
-    edgefuse simulate        --config cfg.json          # any scenario; trains S1's VAEs itself
+    edgefuse partition       --config cfg.json   # partition.json
+    edgefuse train-edges     --config cfg.json   # edges/edge_NNN.npz, edges_summary.json
+    edgefuse train-vaes      --config cfg.json   # vaes/vae_NNN.npz; none unless fill_policy is vae
+    edgefuse train-ensemble  --config cfg.json   # ensemble.npz, metrics.json, ledger.{json,csv}
+    edgefuse simulate        --config cfg.json   # the same; any scenario, trains S1's VAEs itself
     edgefuse tile-plan       --spec layers.json [--out plan.json]
     edgefuse report          --runs DIR [DIR ...] [--out report.csv]
 
-Every artifact carries the config hash; a stage refuses to consume artifacts
-produced under a different configuration, and refuses to overwrite its own
-outputs unless --force is given.
+A stage refuses to overwrite any of its files unless --force is given, and
+checks so before it reads anything. ``partition`` also rewrites config.json,
+which no stage claims: users may keep their --config file in the run
+directory. Every artifact carries the config hash; a stage refuses to consume
+artifacts produced under a different configuration.
 """
 
 from __future__ import annotations
@@ -83,15 +86,23 @@ def _run_dir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.output_dir)
 
 
-def _refuse_overwrite(path: Path, force: bool) -> None:
-    if path.exists() and not force:
-        raise StageError(f"{path} exists; rerun with --force to overwrite")
+def _claim(cfg: ExperimentConfig, force: bool, names) -> Path:
+    """The run directory, after refusing any stage output ``names`` (relative to it)
+    that exists, unless ``force``."""
+    run = _run_dir(cfg)
+    for name in names:
+        if (run / name).exists() and not force:
+            raise StageError(f"{run / name} exists; rerun with --force to overwrite")
+    return run
+
+
+def _per_edge(cfg: ExperimentConfig, kind: str) -> list:
+    """The run-relative names of every edge's ``kind`` ("edge" or "vae") artifact."""
+    return [f"{kind}s/{kind}_{i:03d}.npz" for i in range(cfg.n_edges)]
 
 
 def stage_partition(cfg: ExperimentConfig, force: bool = False) -> EdgeAssignment:
-    run = _run_dir(cfg)
-    out = run / "partition.json"
-    _refuse_overwrite(out, force)
+    run = _claim(cfg, force, ["partition.json"])
     bundle = load_datasets(cfg)
     assignment = sample_edge_assignment(bundle["partition_train"], bundle["partition_test"],
                                         cfg.partition_spec())
@@ -109,8 +120,7 @@ def stage_partition(cfg: ExperimentConfig, force: bool = False) -> EdgeAssignmen
         "test_fractions_raw": assignment.test_fractions_raw.tolist(),
     }
     run.mkdir(parents=True, exist_ok=True)
-    with io.atomic_write(out) as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+    io.write_json(run / "partition.json", doc, separators=(",", ":"))
     cfg.write(run / "config.json")
     return assignment
 
@@ -160,17 +170,12 @@ def load_partition(cfg: ExperimentConfig, n_train: int, n_test: int) -> EdgeAssi
 # Stage: train-edges
 # ---------------------------------------------------------------------------
 
-def _edge_path(run: Path, i: int) -> Path:
-    return run / "edges" / f"edge_{i:03d}.npz"
-
-
 def stage_train_edges(cfg: ExperimentConfig, force: bool = False) -> list:
-    run = _run_dir(cfg)
+    names = _per_edge(cfg, "edge")
+    run = _claim(cfg, force, [*names, "edges_summary.json"])
     bundle = load_datasets(cfg)
     assignment = load_partition(cfg, len(bundle["train"]), len(bundle["test"]))
     chash = cfg.config_hash()
-    for i in range(cfg.n_edges):
-        _refuse_overwrite(_edge_path(run, i), force)
 
     train_ds = bundle["train"]
     n_classes = bundle["partition_train"].n_classes if cfg.task == "classification" else None
@@ -185,46 +190,38 @@ def stage_train_edges(cfg: ExperimentConfig, force: bool = False) -> list:
 
     summary = []
     for i, art in enumerate(artifacts):
-        io.save_edge_artifact(_edge_path(run, i), art, chash, i)
+        io.save_edge_artifact(run / names[i], art, chash, i)
         summary.append({
             "edge": i, "epochs": art.epochs_run, "n_train": art.n_train,
             "param_count": art.param_count(), "train_accuracy": art.train_accuracy,
             "final_loss": art.loss_trace[-1] if art.loss_trace else None,
         })
-    with io.atomic_write(run / "edges_summary.json") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
+    io.write_json(run / "edges_summary.json", summary, indent=2)
     return artifacts
 
 
-def _load_per_edge(cfg: ExperimentConfig, path_of, load, what: str, stage: str) -> list:
-    """Every edge's stored artifact of one kind; names the first one missing."""
+def _load_per_edge(cfg: ExperimentConfig, kind: str, load, what: str) -> list:
+    """Every edge's stored ``kind`` artifact; names the first one missing."""
     run, chash, out = _run_dir(cfg), cfg.config_hash(), []
-    for i in range(cfg.n_edges):
-        path = path_of(run, i)
+    for i, name in enumerate(_per_edge(cfg, kind)):
+        path = run / name
         if not path.exists():
-            raise StageError(f"missing {what} artifact {path.name} (edge {i}); run {stage} first")
+            raise StageError(f"missing {what} artifact {path.name} (edge {i}); "
+                             f"run train-{kind}s first")
         out.append(load(path, chash))
     return out
-
-
-def load_edges(cfg: ExperimentConfig) -> list:
-    return _load_per_edge(cfg, _edge_path, io.load_edge_artifact, "edge", "train-edges")
 
 
 def _load_inputs(cfg: ExperimentConfig) -> tuple:
     """The dataset bundle, the stored partition and the stored edges."""
     bundle = load_datasets(cfg)
     assignment = load_partition(cfg, len(bundle["train"]), len(bundle["test"]))
-    return bundle, assignment, load_edges(cfg)
+    return bundle, assignment, _load_per_edge(cfg, "edge", io.load_edge_artifact, "edge")
 
 
 # ---------------------------------------------------------------------------
 # Stage: train-vaes
 # ---------------------------------------------------------------------------
-
-def _vae_path(run: Path, i: int) -> Path:
-    return run / "vaes" / f"vae_{i:03d}.npz"
-
 
 def _train_vaes(cfg: ExperimentConfig, train_ds, assignment: EdgeAssignment, edges) -> list:
     """(VAE, loss trace) of every edge, trained on its embeddings of its training rows."""
@@ -233,18 +230,16 @@ def _train_vaes(cfg: ExperimentConfig, train_ds, assignment: EdgeAssignment, edg
 
 
 def stage_train_vaes(cfg: ExperimentConfig, force: bool = False) -> list:
-    run = _run_dir(cfg)
+    """Every edge's VAE, saved in ``vaes/``; none under a fill policy that reads none."""
+    if cfg.fill_policy != "vae":
+        return []
+    names = _per_edge(cfg, "vae")
+    run = _claim(cfg, force, names)
     bundle, assignment, edges = _load_inputs(cfg)
-    for i in range(cfg.n_edges):
-        _refuse_overwrite(_vae_path(run, i), force)
     trained = _train_vaes(cfg, bundle["train"], assignment, edges)
     for i, (v, trace) in enumerate(trained):
-        io.save_vae_artifact(_vae_path(run, i), v, cfg.config_hash(), i, loss_trace=trace)
+        io.save_vae_artifact(run / names[i], v, cfg.config_hash(), i, loss_trace=trace)
     return [v for v, _ in trained]
-
-
-def load_vaes(cfg: ExperimentConfig) -> list:
-    return _load_per_edge(cfg, _vae_path, io.load_vae_artifact, "VAE", "train-vaes")
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +275,11 @@ def _metrics_payload(cfg: ExperimentConfig, run_result, edges, bundle) -> dict:
 def _run_and_write(cfg: ExperimentConfig, force: bool, vaes_stored: bool):
     """Run the scenario on the stored edges and write its outputs, refused before
     any training; S1 ``vae`` fill loads ``vaes/`` if ``vaes_stored``, else trains."""
-    run = _run_dir(cfg)
-    for name in ("ensemble.npz", "metrics.json", "ledger.json", "ledger.csv"):
-        _refuse_overwrite(run / name, force)
+    run = _claim(cfg, force, ["ensemble.npz", "metrics.json", "ledger.json", "ledger.csv"])
     bundle, assignment, edges = _load_inputs(cfg)
     vaes = None
     if cfg.scenario_name == "S1" and cfg.fill_policy == "vae":
-        vaes = load_vaes(cfg) if vaes_stored else [
+        vaes = _load_per_edge(cfg, "vae", io.load_vae_artifact, "VAE") if vaes_stored else [
             v for v, _ in _train_vaes(cfg, bundle["train"], assignment, edges)]
     n_classes = bundle["partition_train"].n_classes
     ens_cfg = ensemble.EnsembleConfig(
@@ -299,8 +292,7 @@ def _run_and_write(cfg: ExperimentConfig, force: bool, vaes_stored: bool):
     io.save_ensemble_artifact(run / "ensemble.npz", result.model, cfg.config_hash(),
                               {"scenario": result.config.scenario,
                                "task": cfg.task, "fill_policy": cfg.fill_policy})
-    with io.atomic_write(run / "metrics.json") as f:
-        json.dump(_metrics_payload(cfg, result, edges, bundle), f, sort_keys=True, indent=2)
+    io.write_json(run / "metrics.json", _metrics_payload(cfg, result, edges, bundle), indent=2)
     result.ledger.write_summary(run / "ledger.json")
     result.ledger.write_events_csv(run / "ledger.csv")
     return result
@@ -329,6 +321,15 @@ REPORT_COLUMNS = [
     "ensemble_param_count", "best_edge_accuracy",
     "majority_accuracy", "average_accuracy",
 ]
+
+# the REPORT_COLUMNS read by name from metrics.json, its report, ledger.json and
+# metrics.json's baselines, in that order
+_REPORT_KEYS = (
+    ("scenario", "alpha", "delta", "seed", "fill_policy", "ensemble_param_count"),
+    ("accuracy", "macro_auc", "rmse", "mae", "r2"),
+    ("comm_count", "cumulative_mb", "total_seconds"),
+    ("majority_accuracy", "average_accuracy"),
+)
 
 
 def _ledger_sum_check(run: Path) -> dict:
@@ -386,26 +387,10 @@ def collect_report_rows(run_dirs) -> list:
             metrics = _read_run_file(run / "metrics.json")
             summary = _ledger_sum_check(run) if (run / "ledger.json").exists() else {}
             rep, base_line, edge_acc = _metrics_parts(run / "metrics.json", metrics)
-            rows.append({
-                "run_dir": str(run),
-                "scenario": metrics.get("scenario"),
-                "alpha": metrics.get("alpha"),
-                "delta": metrics.get("delta"),
-                "seed": metrics.get("seed"),
-                "fill_policy": metrics.get("fill_policy"),
-                "accuracy": rep.get("accuracy"),
-                "macro_auc": rep.get("macro_auc"),
-                "rmse": rep.get("rmse"),
-                "mae": rep.get("mae"),
-                "r2": rep.get("r2"),
-                "comm_count": summary.get("comm_count"),
-                "cumulative_mb": summary.get("cumulative_mb"),
-                "total_seconds": summary.get("total_seconds"),
-                "ensemble_param_count": metrics.get("ensemble_param_count"),
-                "best_edge_accuracy": max(edge_acc) if edge_acc else None,
-                "majority_accuracy": base_line.get("majority_accuracy"),
-                "average_accuracy": base_line.get("average_accuracy"),
-            })
+            row = {"run_dir": str(run), "best_edge_accuracy": max(edge_acc) if edge_acc else None}
+            for doc, keys in zip((metrics, rep, summary, base_line), _REPORT_KEYS):
+                row.update((key, doc.get(key)) for key in keys)
+            rows.append(row)
     if not rows:
         raise StageError("no runs found")
     return rows
@@ -413,8 +398,7 @@ def collect_report_rows(run_dirs) -> list:
 
 def write_report(rows, out_csv=None, out_json=None, stream=None) -> None:
     if out_json:
-        with io.atomic_write(out_json) as f:
-            json.dump(rows, f, sort_keys=True, indent=2)
+        io.write_json(out_json, rows, indent=2)
 
     def write_csv(target) -> None:
         w = csv.DictWriter(target, fieldnames=REPORT_COLUMNS)
@@ -437,8 +421,7 @@ def stage_tile_plan(spec_path, out_path=None) -> str:
     request = tiling.request_from_config(read_json(spec_path))
     plan = tiling.plan_tiling(request)
     if out_path:
-        with io.atomic_write(out_path) as f:
-            json.dump(tiling.plan_report(plan), f, sort_keys=True, indent=2)
+        io.write_json(out_path, tiling.plan_report(plan), indent=2)
     return tiling.plan_report_text(plan)
 
 
@@ -446,30 +429,19 @@ def stage_tile_plan(spec_path, out_path=None) -> str:
 # argparse wiring
 # ---------------------------------------------------------------------------
 
-def _add_config_arg(p):
-    p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--force", action="store_true", help="overwrite existing stage outputs")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edgefuse",
                                      description="edge-embedding ensemble simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("partition", help="sample per-edge train/test index sets")
-    _add_config_arg(p)
-
-    p = sub.add_parser("train-edges", help="train every edge model on its subset")
-    _add_config_arg(p)
-
-    p = sub.add_parser("train-vaes", help="train one imputation VAE per edge")
-    _add_config_arg(p)
-
-    p = sub.add_parser("train-ensemble", help="build the stacked matrix and train the meta-learner")
-    _add_config_arg(p)
-
-    p = sub.add_parser("simulate", help="run a full transfer scenario with ledger accounting")
-    _add_config_arg(p)
+    for name, help_text in (
+            ("partition", "sample per-edge train/test index sets"),
+            ("train-edges", "train every edge model on its subset"),
+            ("train-vaes", "train one imputation VAE per edge"),
+            ("train-ensemble", "build the stacked matrix and train the meta-learner"),
+            ("simulate", "run a full transfer scenario with ledger accounting")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--force", action="store_true", help="overwrite existing stage outputs")
 
     p = sub.add_parser("tile-plan", help="emit a tiling plan for a layer-spec file")
     p.add_argument("--spec", required=True)
@@ -502,8 +474,10 @@ def main(argv=None) -> int:
             stage_train_edges(cfg, force=args.force)
             print(f"trained {cfg.n_edges} edges -> {cfg.output_dir}/edges")
         elif args.command == "train-vaes":
-            stage_train_vaes(cfg, force=args.force)
-            print(f"trained {cfg.n_edges} VAEs -> {cfg.output_dir}/vaes")
+            if stage_train_vaes(cfg, force=args.force):
+                print(f"trained {cfg.n_edges} VAEs -> {cfg.output_dir}/vaes")
+            else:
+                print(f"trained no VAEs: fill_policy {cfg.fill_policy!r} reads none")
         elif args.command == "train-ensemble":
             result = stage_train_ensemble(cfg, force=args.force)
             print(result.report.to_json())

@@ -19,7 +19,6 @@ ceil(n * passes / b) exactly.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,7 +31,7 @@ from .edge import EdgeArtifact
 from .ensemble import (EnsembleConfig, _as_conv_input, build_ensemble_dataset, evaluate,
                        make_ensemble_model, predict, predict_proba, stack_embeddings,
                        train_ensemble)
-from .io import atomic_write
+from .io import atomic_write, write_json
 from .seeding import derived_seed, rng_from
 from .vae import Received, Vae, fill, missing_slot_latents
 from .vae import train_vae  # unused: kept for perfbench/tracer.py, which patches it here
@@ -173,8 +172,7 @@ class ScenarioLedger:
         }
 
     def write_summary(self, path) -> None:
-        with atomic_write(path) as f:
-            json.dump(self.to_summary(), f, sort_keys=True, indent=2)
+        write_json(path, self.to_summary(), indent=2)
 
     def write_events_csv(self, path) -> None:
         with atomic_write(path, newline="") as f:

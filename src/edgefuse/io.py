@@ -4,8 +4,8 @@ Every artifact records the format version, its kind, and the hash of the
 experiment config that produced it; loading checks all three so a stage can
 never silently reuse output from a different configuration.
 
-Artifacts and run outputs are written through ``atomic_write``, so a crash
-mid-write leaves the previous file (or none), never a truncated one.
+Every file is written through ``atomic_write`` (JSON through ``write_json``),
+so a crash mid-write leaves the previous file (or none), never a truncated one.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import secrets
 import zipfile
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -46,6 +47,13 @@ def atomic_write(path, mode: str = "w", newline=None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, doc, **fmt) -> None:
+    """Write ``doc`` to ``path`` as JSON with sorted keys, through ``atomic_write``;
+    ``fmt`` goes to ``json.dump`` (``indent``, ``separators``)."""
+    with atomic_write(path) as f:
+        json.dump(doc, f, sort_keys=True, **fmt)
 
 
 def save_artifact(path, kind: str, arrays: dict, meta: dict) -> None:
@@ -97,20 +105,18 @@ def _set_weights(path, module: nn.Module, arrays: dict) -> None:
 # Edge artifacts
 # ---------------------------------------------------------------------------
 
+_EDGE_FIELDS = tuple(f.name for f in fields(EdgeModelConfig))
+
+
 def save_edge_artifact(path, artifact: EdgeArtifact, config_hash: str, edge_index: int) -> None:
+    """The header holds every ``EdgeModelConfig`` field under its own name."""
     cfg = artifact.config
     meta = {
         "config_hash": config_hash,
         "edge_index": edge_index,
-        "task": cfg.task,
+        **{name: getattr(cfg, name) for name in _EDGE_FIELDS},
         "specs": [s.to_dict() for s in cfg.specs],
         "input_shape": list(cfg.input_shape),
-        "epochs": cfg.epochs,
-        "feature_width": cfg.feature_width,
-        "seed": cfg.seed,
-        "n_classes": cfg.n_classes,
-        "lr": cfg.lr,
-        "batch_size": cfg.batch_size,
         "f_e": cfg.f_e,
         "loss_trace": [float(v) for v in artifact.loss_trace],
         "epochs_run": artifact.epochs_run,
@@ -122,21 +128,12 @@ def save_edge_artifact(path, artifact: EdgeArtifact, config_hash: str, edge_inde
 
 
 def load_edge_artifact(path, config_hash: Optional[str] = None) -> EdgeArtifact:
-    arrays, meta = load_artifact(path, "edge", config_hash, (
-        "task", "specs", "input_shape", "epochs", "feature_width", "seed", "n_classes", "lr",
-        "batch_size", "loss_trace", "epochs_run", "n_train"))
+    arrays, meta = load_artifact(path, "edge", config_hash,
+                                 (*_EDGE_FIELDS, "loss_trace", "epochs_run", "n_train"))
     try:
-        cfg = EdgeModelConfig(
-            task=meta["task"],
-            specs=tuple(nn.LayerSpec.from_dict(d) for d in meta["specs"]),
-            input_shape=tuple(meta["input_shape"]),
-            epochs=meta["epochs"],
-            feature_width=meta["feature_width"],
-            seed=meta["seed"],
-            n_classes=meta["n_classes"],
-            lr=meta["lr"],
-            batch_size=meta["batch_size"],
-        )
+        cfg = EdgeModelConfig(**{name: meta[name] for name in _EDGE_FIELDS} | {
+            "specs": tuple(nn.LayerSpec.from_dict(d) for d in meta["specs"]),
+            "input_shape": tuple(meta["input_shape"])})
     except ValueError as exc:           # the message starts with the header key
         raise ArtifactError(f"{path}: header {exc}") from exc
     model = build_edge_model(cfg)

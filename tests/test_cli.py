@@ -211,6 +211,41 @@ def test_finished_run_is_refused_before_anything_trains(tmp_path, capsys, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("stage,output", [
+    ("partition", "partition.json"),
+    ("train_edges", "edges_summary.json"),
+    ("train_edges", "edges/edge_001.npz"),
+    ("train_vaes", "vaes/vae_001.npz"),
+    ("train_ensemble", "ledger.csv"),
+    ("simulate", "ledger.csv"),
+])
+def test_stage_refuses_any_one_output_before_it_reads_anything(tmp_path, monkeypatch,
+                                                               stage, output):
+    cfg = ExperimentConfig.from_dict(micro_config(tmp_path))
+    path = tmp_path / "run" / output
+    path.parent.mkdir(parents=True)
+    path.write_text("")
+    calls = []
+
+    def load_datasets(cfg):
+        calls.append(cfg)
+        raise AssertionError("the stage read the dataset")
+    monkeypatch.setattr(cli, "load_datasets", load_datasets)
+    with pytest.raises(cli.StageError) as err:
+        getattr(cli, f"stage_{stage}")(cfg)
+    assert str(err.value) == f"{path} exists; rerun with --force to overwrite"
+    assert calls == []
+
+
+def test_train_vaes_trains_none_when_the_fill_policy_reads_none(tmp_path, capsys):
+    cfg = dict(micro_config(tmp_path), fill_policy="zero")
+    run_stages(write_config(tmp_path, cfg), "partition", "train-edges", "train-vaes",
+               "train-ensemble")
+    assert "trained no VAEs" in capsys.readouterr().out
+    assert (tmp_path / "run" / "metrics.json").exists()
+    assert not (tmp_path / "run" / "vaes").exists()
+
+
 def _run_outputs(run: Path):
     """The ensemble's arrays and header, and the text of metrics.json and ledger.json."""
     arrays, meta = io.load_artifact(run / "ensemble.npz", "ensemble")

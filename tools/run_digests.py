@@ -7,13 +7,15 @@ can be compared file by file.
 Each (seed, fill policy, scenario) runs the staged CLI of this checkout's
 ``src/`` in ``DIR/<seed>-<policy>-<scenario>``: S1 as partition ->
 train-edges -> train-vaes -> train-ensemble, S3 as partition -> train-edges
--> simulate. The setting is the benchmark's weak one (``PIPELINE_CONFIG`` of
-``perfbench/workloads.py``, batch 128), or the tests' ``micro_config`` with
-``--micro``. Per run it prints one ``<run> <file> <sha256>`` line per file
-(edge and VAE artifacts, ``ensemble.npz``, ``metrics.json``, ``ledger.*``,
-``partition.json``, ``config.json``, ...), with the run directory's path
-masked in every file, and one ``<run> accuracy <value>`` line. A gate is one
-run per checkout and a ``diff`` of the two outputs.
+-> simulate. Under ``zero``, ``mean`` or ``max`` fill train-vaes trains
+nothing, so those S1 runs hold no ``vaes/``. The setting is the benchmark's
+weak one (``PIPELINE_CONFIG`` of ``perfbench/workloads.py``, batch 128), or
+the tests' ``micro_config`` with ``--micro``. Per run it prints one
+``<run> <file> <sha256>`` line per file (edge and VAE artifacts,
+``ensemble.npz``, ``metrics.json``, ``ledger.*``, ``partition.json``,
+``config.json``, ...), with the run directory's path masked in every file,
+and one ``<run> accuracy <value>`` line. A gate is one run per checkout and a
+``diff`` of the two outputs.
 """
 
 import os
