@@ -6,7 +6,7 @@ passes between them. Each stage owns the run files named beside it:
 
     edgefuse partition       --config cfg.json   # partition.json
     edgefuse train-edges     --config cfg.json   # edges/edge_NNN.npz, edges_summary.json
-    edgefuse train-vaes      --config cfg.json   # vaes/vae_NNN.npz; none unless fill_policy is vae
+    edgefuse train-vaes      --config cfg.json   # vaes/vae_NNN.npz; none unless S1 with vae fill
     edgefuse train-ensemble  --config cfg.json   # ensemble.npz, metrics.json, ledger.{json,csv}
     edgefuse simulate        --config cfg.json   # the same; any scenario, trains S1's VAEs itself
     edgefuse tile-plan       --spec layers.json [--out plan.json]
@@ -230,8 +230,8 @@ def _train_vaes(cfg: ExperimentConfig, train_ds, assignment: EdgeAssignment, edg
 
 
 def stage_train_vaes(cfg: ExperimentConfig, force: bool = False) -> list:
-    """Every edge's VAE, saved in ``vaes/``; none under a fill policy that reads none."""
-    if cfg.fill_policy != "vae":
+    """Every edge's VAE, saved in ``vaes/``; none unless S1's ``vae`` fill reads them."""
+    if cfg.scenario_name != "S1" or cfg.fill_policy != "vae":
         return []
     names = _per_edge(cfg, "vae")
     run = _claim(cfg, force, names)
@@ -477,7 +477,7 @@ def main(argv=None) -> int:
             if stage_train_vaes(cfg, force=args.force):
                 print(f"trained {cfg.n_edges} VAEs -> {cfg.output_dir}/vaes")
             else:
-                print(f"trained no VAEs: fill_policy {cfg.fill_policy!r} reads none")
+                print(f"trained no VAEs: {cfg.scenario_name} {cfg.fill_policy!r} fill reads none")
         elif args.command == "train-ensemble":
             result = stage_train_ensemble(cfg, force=args.force)
             print(result.report.to_json())

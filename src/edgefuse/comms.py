@@ -9,7 +9,9 @@ Three schemes move embeddings from edges to the server:
   and reuses it for ``ep_ens / ep_ens_d`` consecutive steps; every batch is
   re-sent ``ep_ens_d`` times over the run.
 * S3 - the S2 limit where the divisor equals the epoch count: every batch is
-  used exactly once per receipt and nothing is kept between rounds.
+  used exactly once per receipt and nothing is kept between rounds. The
+  S2/S3 simulation holds each received row and each missing slot's latent
+  once, and one batch at a time (``_fit_streaming``).
 
 Mini-batches are packed over the concatenated sample stream (a tail batch
 rides into the next pass), which is what makes the communication counts
@@ -29,8 +31,8 @@ from . import nn
 from .datasets import Dataset, EdgeAssignment
 from .edge import EdgeArtifact
 from .ensemble import (EnsembleConfig, _as_conv_input, build_ensemble_dataset, evaluate,
-                       make_ensemble_model, predict, predict_proba, stack_embeddings,
-                       train_ensemble)
+                       make_ensemble_model, predict, predict_proba, received_rows,
+                       stack_embeddings, train_ensemble)
 from .io import atomic_write, write_json
 from .seeding import derived_seed, rng_from
 from .vae import Received, Vae, fill, missing_slot_latents
@@ -267,9 +269,10 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
 
     S1 receives the whole training matrix, fills it with ``vae.fill`` (the
     ``vae`` policy decodes with the caller's per-edge ``vaes``) and fits the
-    ensemble on it. S2/S3 ignore ``vaes`` and stream mini-batches (see
-    ``_fit_streaming``). The training matrix and its mask are released once
-    the ensemble is trained, before the test split is built. The test split is
+    ensemble on it; the matrix and its mask are released once the ensemble is
+    trained, before the test split is built. S2/S3 ignore ``vaes`` and never
+    build that matrix: they hold each received row once (``received_rows``)
+    and stream mini-batches from it (see ``_fit_streaming``). The test split is
     filled by the same ``fill``: with the final per-edge VAEs (S2/S3: their
     stack, in one decode), or with the ``mean``/``max`` statistics of every
     training receipt. A regression report's binned accuracy uses
@@ -281,22 +284,23 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
     ledger = account(scenario_cfg, schedule, n_total=n_total,
                      feature_width=ens_cfg.feature_width)
     labels = np.asarray(train_ds.labels)
-    values, mask = stack_embeddings(edges, train_ds, assignment.train_indices)
     fill_seed = derived_seed(seed, "fill")
     received = Received(len(edges), ens_cfg.feature_width) if policy in ("mean", "max") else None
 
     if scenario_cfg.scenario == "S1":
+        values, mask = stack_embeddings(edges, train_ds, assignment.train_indices)
         if received is not None:
             received.add(values, mask)
         fill(policy, values, mask, vaes=vaes, seed=fill_seed, received=received)
         model, trace = train_ensemble(values, labels, ens_cfg, epochs=scenario_cfg.ep_ens,
                                       batch_size=scenario_cfg.batch_size)
         vae_trace = np.zeros((0, len(edges)))
+        del values, mask
     else:
-        model, trace, stack, vae_trace = _fit_streaming(scenario_cfg, values, mask, labels,
-                                                        ens_cfg, policy, seed, received)
+        model, trace, stack, vae_trace = _fit_streaming(
+            scenario_cfg, *received_rows(edges, train_ds, assignment.train_indices), labels,
+            ens_cfg, policy, seed, received)
         vaes = [stack]
-    del values, mask
 
     test_values = build_ensemble_dataset(edges, vaes, test_ds, assignment.test_indices,
                                          policy=policy, fill_seed=fill_seed, received=received)
@@ -313,19 +317,22 @@ def run_scenario(scenario_cfg: ScenarioConfig, edges: Sequence[EdgeArtifact],
                        config=scenario_cfg)
 
 
-def _fit_streaming(scenario_cfg: ScenarioConfig, values, mask, labels, ens_cfg: EnsembleConfig,
+def _fit_streaming(scenario_cfg: ScenarioConfig, rows, slot, labels, ens_cfg: EnsembleConfig,
                    policy: str, seed, received: Optional[Received]):
-    """S2/S3 on the stacked training split: per received batch, one stacked
-    VAE step, its receipts added to ``received`` (``mean``/``max`` only), one
-    ``fill`` of its missing slots (``vae`` decodes with the stack's current
-    weights), then the ensemble steps. Returns (model, ensemble loss trace,
-    the stack of per-edge VAEs, (rounds, N) VAE loss trace)."""
-    n_total, n_edges = mask.shape
+    """S2/S3 from ``received_rows``: each received row held once, each missing
+    slot's latent (``vae`` fill) drawn and held once, one batch at a time. Per
+    batch, the (b, N, width) batch and its latents are gathered, then one
+    stacked VAE step, its receipts added to ``received`` (``mean``/``max``
+    only), one ``fill`` of its missing slots (``vae`` decodes with the stack's
+    current weights), then the ensemble steps. Returns (model, ensemble loss
+    trace, the stack of per-edge VAEs, (rounds, N) VAE loss trace)."""
+    n_total, n_edges = slot.shape
     vaes = Vae(ens_cfg.feature_width, seed=[derived_seed(seed, "vae", i) for i in range(n_edges)])
     vae_rngs = [rng_from(seed, "vae-train", i) for i in range(n_edges)]
     edge_ix = np.arange(n_edges)[:, None]
-    # latents are fixed per (edge, sample) slot for the whole run
-    slot_z = missing_slot_latents(mask, derived_seed(seed, "fill")) if policy == "vae" else None
+    if policy == "vae":     # latents are fixed per (edge, sample) slot for the whole run
+        slot_z = missing_slot_latents(slot >= 0, derived_seed(seed, "fill"))
+        z_row = (np.cumsum(slot.T < 0) - 1).reshape(n_edges, n_total)   # missing (r, i) at [i, r]
 
     model = make_ensemble_model(ens_cfg)
     opt = nn.Adam(ens_cfg.lr)
@@ -339,7 +346,8 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, values, mask, labels, ens_cfg: 
         epoch = seen // n_total * reuse         # ensemble epoch of this batch's first step
         seen += len(batch_idx)
         with nn.epoch_scope(epoch):             # NonFiniteError names the epoch
-            batch_vals, batch_mask = values[batch_idx], mask[batch_idx]
+            batch_slot = slot[batch_idx]
+            batch_vals, batch_mask = rows.take(batch_slot, axis=0), batch_slot >= 0
             held = batch_mask.T                 # (N, b): edge i sent row j
             counts = held.sum(axis=1)
             # one stacked VAE step; edge i trains on the rows it sent, in batch order
@@ -347,8 +355,9 @@ def _fit_streaming(scenario_cfg: ScenarioConfig, values, mask, labels, ens_cfg: 
             vae_trace.append(vaes.train_step(batch_vals[order, edge_ix], vae_rngs, counts))
             if received is not None:
                 received.add(batch_vals, batch_mask)
-            fill(policy, batch_vals, batch_mask, vaes=[vaes], latents=slot_z, rows=batch_idx,
-                 received=received)
+            # the batch's missing slots edge by edge, as missing_slot_latents orders them
+            latents = slot_z.take(z_row[:, batch_idx][~held], axis=0) if policy == "vae" else None
+            fill(policy, batch_vals, batch_mask, vaes=[vaes], latents=latents, received=received)
             x = _as_conv_input(batch_vals)
             y = labels[batch_idx]
             trace += [nn.train_step(model, opt, x, y, loss=ens_cfg.loss, n_classes=n_classes,

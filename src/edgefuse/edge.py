@@ -165,23 +165,12 @@ def train_edge(config: EdgeModelConfig, dataset: Dataset, train_indices) -> Edge
     return art
 
 
-def batched_forward(model: nn.Model, x: np.ndarray, tap: Optional[int] = None):
-    """``model`` on ``x`` in chunks of ``FORWARD_CHUNK`` rows; with ``tap``,
-    also that layer's activations."""
-    outs, taps = [], []
-    for start in range(0, len(x), FORWARD_CHUNK):
-        chunk = x[start:start + FORWARD_CHUNK]
-        if tap is None:
-            outs.append(model.forward(chunk))
-        else:
-            out, collected = model.forward(chunk, taps=(tap,))
-            outs.append(out)
-            taps.append(collected[tap])
-    out = np.concatenate(outs) if outs else np.zeros((0,) + model.output_shape, dtype=model.dtype)
-    if tap is None:
-        return out
-    tapped = np.concatenate(taps) if taps else np.zeros((0, model.layers[tap].out_shape[0]), dtype=model.dtype)
-    return out, tapped
+def batched_forward(model: nn.Model, x: np.ndarray, upto: Optional[int] = None) -> np.ndarray:
+    """``model.infer(x, upto)`` in chunks of ``FORWARD_CHUNK`` rows."""
+    outs = [model.infer(x[start:start + FORWARD_CHUNK], upto)
+            for start in range(0, len(x), FORWARD_CHUNK)]
+    shape = model.output_shape if upto is None else model.layers[upto].out_shape
+    return np.concatenate(outs) if outs else np.zeros((0,) + shape, dtype=model.dtype)
 
 
 def extract_embeddings(artifact: EdgeArtifact, dataset: Dataset, indices) -> np.ndarray:
@@ -189,9 +178,7 @@ def extract_embeddings(artifact: EdgeArtifact, dataset: Dataset, indices) -> np.
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return np.zeros((0, artifact.feature_width), dtype=np.float32)
-    x = dataset.inputs[idx]
-    _, emb = batched_forward(artifact.model, x, tap=artifact.tap_index)
-    return emb
+    return batched_forward(artifact.model, dataset.inputs[idx], upto=artifact.tap_index)
 
 
 def edge_logits(artifact: EdgeArtifact, dataset: Dataset, indices) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The server-side meta-learner: stack per-edge embeddings into an
 (n, N, width) float32 array, fill its missing slots, convolve a (N/2, width/2)
 kernel bank over it, and predict. Training and inference take that one array;
-only ``stack_embeddings`` also returns the (n, N) mask of received slots. Also
-provides the majority / average voting baselines.
+only ``stack_embeddings`` also returns the (n, N) mask of received slots, and
+S2/S3 stream from ``received_rows``, each received row once. Also provides the
+majority / average voting baselines.
 """
 
 from __future__ import annotations
@@ -44,6 +45,25 @@ class EnsembleConfig:
     @property
     def loss(self) -> str:
         return "cross_entropy" if self.task == "classification" else "mse"
+
+
+def received_rows(edges: Sequence[EdgeArtifact], dataset: Dataset, index_sets):
+    """Edge i's embeddings of its rows ``index_sets[i]`` of ``dataset``, each
+    received row held once: an (sum n_i + 1, width) float32 array, edge by edge
+    and then one zero row, and the (n, N) int64 index of slot (r, i)'s row in
+    it, -1 (the zero row) where edge i sent no row r. ``rows[slot]`` is
+    ``stack_embeddings``' stack."""
+    width = edges[0].feature_width
+    index_sets = [np.asarray(ix, dtype=np.int64) for ix in index_sets]
+    starts = np.cumsum([0] + [len(ix) for ix in index_sets])
+    rows = np.zeros((starts[-1] + 1, width), dtype=np.float32)
+    slot = np.full((len(dataset), len(edges)), -1, dtype=np.int64)
+    for i, (art, idx) in enumerate(zip(edges, index_sets)):
+        if art.feature_width != width:
+            raise nn.ShapeMismatchError(f"edge {i} feature width {art.feature_width} != {width}")
+        rows[starts[i]:starts[i + 1]] = extract_embeddings(art, dataset, idx)
+        slot[idx, i] = np.arange(starts[i], starts[i + 1])
+    return rows, slot
 
 
 def stack_embeddings(edges: Sequence[EdgeArtifact], dataset: Dataset, index_sets):

@@ -73,7 +73,7 @@ def load_artifact(path, kind: str, config_hash: Optional[str] = None, keys=()):
     if not p.exists():
         raise ArtifactError(f"missing artifact file: {p}")
     try:
-        with np.load(p, allow_pickle=False) as z:
+        with open(p, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             if "__meta__" not in z:
                 raise ArtifactError(f"{p}: not an artifact file (no header)")
             meta = json.loads(bytes(z["__meta__"]).decode("utf-8"))

@@ -4,7 +4,7 @@ Everything is plain ``numpy.ndarray``. Models default to float32; a float64
 mode exists for high-precision gradient oracles. Layers follow the usual
 contract: ``forward`` caches whatever the matching ``backward`` needs,
 ``backward`` fills ``self.grads`` and returns the gradient with respect to
-the layer input.
+the layer input, and ``infer`` gives ``forward``'s output and keeps nothing.
 
 The convolution / dense / pooling kernels are also exposed as standalone
 functions (``conv2d_forward`` etc.) so that tiled executors can run them on
@@ -132,8 +132,8 @@ def relu() -> LayerSpec:
 def dense_forward(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
     """x (B, in) @ w (in, out) + b (out,), or all with a leading member axis."""
     out = x @ w
-    if b is not None:
-        out = out + b[..., None, :]
+    if b is not None:       # in place unless b widens the dtype: the same sums, no temporary
+        out = np.add(out, b[..., None, :], out=out if out.dtype == np.result_type(out, b) else None)
     return out
 
 
@@ -319,7 +319,9 @@ class Layer:
         self.out_shape: tuple[int, ...] = ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """``infer(x)``, keeping ``x`` for ``backward``."""
+        self._x = x
+        return self.infer(x)
 
     def backward(self, dout: np.ndarray, input_grad=True) -> Optional[np.ndarray]:
         raise NotImplementedError
@@ -344,10 +346,9 @@ class Dense(Layer):
         self.out_shape = (out_dim,)
         self._x = None
 
-    def forward(self, x):
+    def infer(self, x):
         if x.ndim != self.params["w"].ndim or x.shape[-1] != self.in_dim:
             raise ShapeMismatchError(f"dense of weight {self.params['w'].shape} got {x.shape}")
-        self._x = x
         return dense_forward(x, self.params["w"], self.params["b"])
 
     def backward(self, dout, input_grad=True):
@@ -370,10 +371,9 @@ class Conv2D(Layer):
         self.out_shape = (filters, oh, ow)
         self._x = None
 
-    def forward(self, x):
+    def infer(self, x):
         if x.shape[1:] != self.in_shape:
             raise ShapeMismatchError(f"conv expects (B,{self.in_shape}), got {x.shape}")
-        self._x = x
         return conv2d_forward(x, self.params["w"], self.params["b"], self.stride)
 
     def backward(self, dout, input_grad=True):
@@ -392,6 +392,9 @@ class MaxPool2D(Layer):
         self._argmax = None
         self._x_shape = None
 
+    def infer(self, x):
+        return maxpool2d_forward(x, self.size)[0]
+
     def forward(self, x):
         out, self._argmax = maxpool2d_forward(x, self.size)
         self._x_shape = x.shape
@@ -408,9 +411,12 @@ class Flatten(Layer):
         self.out_shape = (int(np.prod(in_shape)),)
         self._shape = None
 
+    def infer(self, x):
+        return x.reshape(x.shape[0], -1)
+
     def forward(self, x):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return self.infer(x)
 
     def backward(self, dout, input_grad=True):
         return dout.reshape(self._shape)
@@ -422,8 +428,7 @@ class ReLU(Layer):
         self.out_shape = tuple(in_shape)
         self._x = None
 
-    def forward(self, x):
-        self._x = x
+    def infer(self, x):
         return relu_forward(x)
 
     def backward(self, dout, input_grad=True):
@@ -529,20 +534,28 @@ class Model(Module):
         self.output_shape = cur
         self._bind()
 
-    def forward(self, x: np.ndarray, taps: Optional[Sequence[int]] = None):
-        """Run the stack. With ``taps`` given, also return {layer_index: activation}."""
+    def _input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != self.input_shape:
             raise ShapeMismatchError(f"model expects (B,)+{self.input_shape}, got {x.shape}")
-        collected = {}
-        out = x
-        for i, layer in enumerate(self.layers):
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the stack for training: each layer keeps what its backward needs."""
+        out = self._input(x)
+        for layer in self.layers:
             out = layer.forward(out)
-            if taps is not None and i in taps:
-                collected[i] = out
         check_finite(out, "model output")
-        if taps is not None:
-            return out, collected
+        return out
+
+    def infer(self, x: np.ndarray, upto: Optional[int] = None) -> np.ndarray:
+        """Inference: ``forward``'s kernels on each layer's ``params``, keeping no
+        layer input or pooling argmax; with ``upto``, stop after layer ``upto``
+        and return its activation."""
+        out = self._input(x)
+        for layer in self.layers[:None if upto is None else upto + 1]:
+            out = layer.infer(out)
+        check_finite(out, "model output")
         return out
 
     def backward(self, dout: np.ndarray, input_grad=True) -> Optional[np.ndarray]:

@@ -86,9 +86,8 @@ class Vae(nn.Module):
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Latents (N, B, latent) to embeddings (N, B, width). Inference only:
         no layer keeps its input for a backward pass."""
-        hidden, out = self.dec_hidden.params, self.dec_out.params
-        h = nn.dense_forward(np.asarray(z, dtype=self.dtype), hidden["w"], hidden["b"])
-        return nn.dense_forward(nn.relu_forward(h), out["w"], out["b"])
+        h = self.dec_hidden.infer(np.asarray(z, dtype=self.dtype))
+        return self.dec_out.infer(np.maximum(h, 0, out=h))      # ReLU in place
 
     # -- training -----------------------------------------------------------
 
@@ -180,13 +179,15 @@ def slot_latent(seed, edge_id: int, sample_index: int, latent_dim: int = LATENT_
 
 def missing_slot_latents(mask: np.ndarray, seed, first_edge: int = 0,
                          latent_dim: int = LATENT_DIM) -> np.ndarray:
-    """The (N, n, latent_dim) float32 latents of an (n, N) mask whose column i
-    is edge ``first_edge + i``: slot (r, i) holds ``slot_latent(seed,
-    first_edge + i, r)`` where ``mask[r, i]`` is False, 0 where the slot was
-    received."""
-    z = np.zeros((mask.shape[1], mask.shape[0], latent_dim), dtype=np.float32)
-    for r, i in zip(*np.nonzero(~mask)):
-        z[i, r] = slot_latent(seed, first_edge + int(i), int(r), latent_dim)
+    """The latents of the missing slots of an (n, N) mask whose column i is
+    edge ``first_edge + i``, once each: an (m, latent_dim) float32 array whose
+    rows follow ``np.nonzero(~mask.T)``, by column and by row within a column.
+    Missing slot (r, i) holds ``slot_latent(seed, first_edge + i, r)``, so the
+    latents of columns [a, b) are a contiguous run of the whole mask's."""
+    edge, row = np.nonzero(~mask.T)
+    z = np.empty((len(edge), latent_dim), dtype=np.float32)
+    for k, (i, r) in enumerate(zip(edge, row)):
+        z[k] = slot_latent(seed, first_edge + int(i), int(r), latent_dim)
     return z
 
 
@@ -212,7 +213,7 @@ class Received:
 
 
 def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
-         vaes: Optional[Sequence[Vae]] = None, seed=0, latents=None, rows=None,
+         vaes: Optional[Sequence[Vae]] = None, seed=0, latents=None,
          received: Optional[Received] = None) -> np.ndarray:
     """Fill the slots of ``values`` (n, N, width) where ``mask`` (n, N) is False
     by ``policy``, in place, and return ``values``; received slots are left
@@ -220,9 +221,8 @@ def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
 
     ``vaes`` are stacks whose members, in order, are the N edges; each stack
     decodes its members' missing slots, padded to the largest gap, in one call.
-    ``latents`` (N, m, latent) with ``rows``, the row of ``latents`` of each row
-    of ``values``, default to ``missing_slot_latents`` of each stack's columns of
-    ``mask``, drawn one stack at a time: the latents of the whole-mask draw.
+    ``latents`` (m, latent) hold each missing slot's latent once, in ``missing_slot_latents``'
+    order; by default each stack draws ``missing_slot_latents`` of its columns of ``mask``.
     ``mean``/``max`` read ``received``, by default ``Received(N, width).add(values,
     mask)``: one receipt of the received rows of ``values``, as S1 adds its training split.
     """
@@ -239,16 +239,16 @@ def fill(policy: str, values: np.ndarray, mask: np.ndarray, *,
             vectors = (received or Received(n_edges, width).add(values, mask)).vectors(policy)
         np.copyto(values, vectors[None], where=~mask[..., None])
         return values
-    if latents is None:
-        rows = np.arange(n)
     gaps, first = n - mask.sum(axis=0), 0
+    starts = np.concatenate(([0], np.cumsum(gaps)))         # each edge's first row in latents
     order = np.argsort(mask.T, axis=1, kind="stable")      # per edge: its missing rows first
     for stack in vaes:
         k, first = slice(first, first + stack.members), first + stack.members
         if gaps[k].any():
             o = order[k, :gaps[k].max()]
-            z = missing_slot_latents(mask[:, k], seed, k.start) if latents is None else latents[k]
-            decoded = stack.decode(z[np.arange(stack.members)[:, None], rows[o]])
-            e, j = np.nonzero(np.arange(o.shape[1]) < gaps[k, None])
-            values[o[e, j], k.start + e] = decoded[e, j]
+            e, j = np.nonzero(np.arange(o.shape[1]) < gaps[k, None])    # in latents' order
+            z = np.zeros(o.shape + (stack.latent_dim,), dtype=np.float32)
+            z[e, j] = (missing_slot_latents(mask[:, k], seed, k.start) if latents is None
+                       else latents[starts[k.start]:starts[k.stop]])
+            values[o[e, j], k.start + e] = stack.decode(z)[e, j]
     return values

@@ -246,6 +246,15 @@ def test_train_vaes_trains_none_when_the_fill_policy_reads_none(tmp_path, capsys
     assert not (tmp_path / "run" / "vaes").exists()
 
 
+def test_train_vaes_trains_none_for_a_streaming_config(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, micro_config(tmp_path, scenario="S3"))
+    run_stages(cfg_path, "partition", "train-edges", "train-vaes")
+    assert "trained no VAEs: S3" in capsys.readouterr().out
+    assert not (tmp_path / "run" / "vaes").exists()
+    run_stages(cfg_path, "simulate")
+    assert (tmp_path / "run" / "metrics.json").exists()
+
+
 def _run_outputs(run: Path):
     """The ensemble's arrays and header, and the text of metrics.json and ledger.json."""
     arrays, meta = io.load_artifact(run / "ensemble.npz", "ensemble")

@@ -2,16 +2,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgefuse import comms
+from edgefuse import comms, nn
 from edgefuse.comms import (ScenarioConfig, StreamScheduleError, account, plan_schedule,
                             run_scenario, sample_stream)
 from edgefuse.config import ExperimentConfig
-from edgefuse.datasets import PartitionSpec, make_synthetic_classification, sample_edge_assignment
+from edgefuse.datasets import (EdgeAssignment, PartitionSpec, make_synthetic_classification,
+                               sample_edge_assignment)
 from edgefuse.edge import EdgeModelConfig, extract_embeddings, random_edge_config, train_edge
 from edgefuse.ensemble import EnsembleConfig
 from edgefuse.vae import train_vae
@@ -323,6 +325,38 @@ def test_test_split_mean_and_max_come_from_the_training_receipts(micro_setup, mo
             assert gaps.size
             emb = extract_embeddings(art, train, asg.train_indices[i]).astype(np.float64)
             assert np.allclose(filled[-1][gaps, i], reduce(emb, axis=0), rtol=1e-5, atol=1e-6)
+
+
+def test_s3_holds_less_per_row_than_the_dense_matrix():
+    """S3 holds each received row and each missing slot's latent once, never the
+    dense (n, N, 64) float32 matrix: doubling n grows the traced peak of
+    ``run_scenario`` by less than it grows that matrix. Differencing two sizes
+    leaves out what does not grow with n (the N-member VAE stack and its Adam
+    state, the meta-learner), which alone outweighs the matrix at this n."""
+    n_edges, share, c, dims = 16, 4, 3, 4           # each edge holds every 4th row
+    test = make_synthetic_classification(64, c, dims, seed=2, center_seed=1, separation=5.0)
+    ens_cfg = EnsembleConfig(n_edges=n_edges, feature_width=64, task="classification",
+                             n_outputs=c, seed=5)
+    peaks = []
+    for n in (500, 1000):
+        train = make_synthetic_classification(n, c, dims, seed=1, center_seed=1, separation=5.0)
+        asg = EdgeAssignment(PartitionSpec(alpha=0.25, delta=0.0, n_edges=n_edges, seed=0),
+                             [np.arange(i % share, n, share) for i in range(n_edges)],
+                             [np.arange(i % share, len(test), share) for i in range(n_edges)],
+                             *np.zeros((3, n_edges, c)))
+        edges = [train_edge(EdgeModelConfig(
+            task="classification", specs=(nn.dense(64), nn.relu(), nn.dense(c)),
+            input_shape=(dims,), epochs=0, feature_width=64, seed=i, n_classes=c),
+            train, asg.train_indices[i]) for i in range(n_edges)]
+        tracemalloc.start()
+        try:
+            run_scenario(ScenarioConfig("S3", ep_ens=1, batch_size=32), edges, train, test, asg,
+                         ens_cfg=ens_cfg, policy="vae", seed=7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    dense_growth = (1000 - 500) * n_edges * 64 * 4
+    assert peaks[1] - peaks[0] < dense_growth
 
 
 def _drop_last_batch(stream):

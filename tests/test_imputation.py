@@ -277,8 +277,9 @@ def test_a_batch_draws_the_latents_of_its_rows_in_the_run():
     vaes = [Vae(4, seed=i) for i in range(3)]
     whole = fill("vae", values, mask, vaes=vaes, seed=6)
     rows = np.array([6, 1, 3])
-    batch = fill("vae", values[rows], mask[rows], vaes=vaes, latents=missing_slot_latents(
-        mask, 6), rows=rows)
+    edge, j = np.nonzero(~mask[rows].T)                  # the batch's missing slots, in order
+    latents = np.array([slot_latent(6, i, r) for i, r in zip(edge, rows[j])], dtype=np.float32)
+    batch = fill("vae", values[rows], mask[rows], vaes=vaes, latents=latents)
     assert np.allclose(batch, whole[rows], rtol=1e-5, atol=1e-6)    # decoded in other batches
 
 
@@ -295,12 +296,13 @@ def test_slot_latents_independent_of_other_slots():
     mask_b[4, 0] = False                  # extra missing slot elsewhere
     za = missing_slot_latents(mask_a, seed=7)
     zb = missing_slot_latents(mask_b, seed=7)
-    assert np.array_equal(za[1, 2], zb[1, 2])
+    assert za.shape == (1, 32) and zb.shape == (2, 32)
+    assert np.array_equal(za[0], zb[1])     # slot (2, 1): edge 0's slot (4, 0) comes first
 
 
 def test_slot_latents_are_keyed_by_row():
-    """Any mask: missing slot (r, i) holds slot_latent(seed, i, r) as float32,
-    and every received slot holds 0."""
+    """Any mask: the k-th missing slot (r, i), by edge and then by row, holds
+    slot_latent(seed, i, r) as float32, and received slots hold none."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -310,18 +312,17 @@ def test_slot_latents_are_keyed_by_row():
     def check(n, n_edges, p_received, seed):
         mask = np.random.default_rng(seed).random((n, n_edges)) < p_received
         z = missing_slot_latents(mask, seed)
-        assert z.shape == (n_edges, n, 32) and z.dtype == np.float32
-        for r in range(n):
-            for i in range(n_edges):
-                expected = 0.0 if mask[r, i] else slot_latent(seed, i, r).astype(np.float32)
-                assert np.array_equal(z[i, r], np.broadcast_to(expected, (32,)))
+        assert z.shape == ((~mask).sum(), 32) and z.dtype == np.float32
+        missing = [(i, r) for i in range(n_edges) for r in range(n) if not mask[r, i]]
+        for k, (i, r) in enumerate(missing):
+            assert np.array_equal(z[k], slot_latent(seed, i, r).astype(np.float32))
 
     check()
 
 
 def test_slot_latents_of_a_column_slice_are_the_whole_draws_rows():
     """Any mask and column slice [a, b): drawn with ``first_edge=a``, the slice's
-    latents are rows a..b of the whole mask's draw."""
+    latents are the whole mask's draw for the missing slots of columns a..b."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -333,7 +334,8 @@ def test_slot_latents_of_a_column_slice_are_the_whole_draws_rows():
         b = data.draw(st.integers(a + 1, n_edges))
         mask = np.random.default_rng(seed).random((n, n_edges)) < p_received
         whole = missing_slot_latents(mask, seed)
-        assert missing_slot_latents(mask[:, a:b], seed, a).tobytes() == whole[a:b].tobytes()
+        start, stop = (~mask[:, :a]).sum(), (~mask[:, :b]).sum()
+        assert missing_slot_latents(mask[:, a:b], seed, a).tobytes() == whole[start:stop].tobytes()
 
     check()
 

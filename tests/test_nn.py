@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgefuse import nn
+from edgefuse.ensemble import EnsembleConfig, make_ensemble_model
 
 from helpers import (assert_grads_match, model_gradcheck, numeric_grad,
                      scalar_cross_entropy, scalar_maxpool2d, scalar_maxpool2d_backward,
@@ -25,6 +26,12 @@ def test_dense_affine_arithmetic():
     m.layers[0].params["b"][:] = 1.0
     out = m.forward(np.array([[3.0]]))
     assert out[0, 0] == pytest.approx(7.0, abs=0)
+
+
+def test_dense_bias_of_a_wider_dtype_widens_the_output():
+    x, w = np.ones((2, 3), np.float32), np.ones((3, 4), np.float32)
+    out = nn.dense_forward(x, w, np.full(4, 0.1))
+    assert out.dtype == np.float64 and np.array_equal(out, np.float32(3) + np.full((2, 4), 0.1))
 
 
 def test_mlp_forward_matches_scalar_oracle():
@@ -51,6 +58,37 @@ def test_forward_nonfinite_raises():
     x = np.full((1, 4), np.inf)
     with np.errstate(invalid="ignore"), pytest.raises(nn.NonFiniteError):
         m.forward(x)
+
+
+INFER_MODELS = {
+    "dense edge": ((nn.dense(64), nn.relu(), nn.dense(64), nn.relu(), nn.dense(3)), (6,)),
+    "image edge": ((nn.conv(5, 2), nn.relu(), nn.maxpool(2), nn.conv(5, 2), nn.relu(),
+                    nn.flatten(), nn.dense(64), nn.relu(), nn.dense(10)), (1, 28, 28)),
+    "meta-learner": (make_ensemble_model(EnsembleConfig(
+        n_edges=10, feature_width=64, task="classification", n_outputs=10)).specs, (1, 10, 64)),
+}
+CACHES = ("_x", "_argmax", "_x_shape", "_shape")      # what forward keeps for backward
+
+
+@pytest.mark.parametrize("kind", INFER_MODELS)
+def test_infer_is_forward_bit_for_bit_and_keeps_nothing(kind):
+    specs, input_shape = INFER_MODELS[kind]
+    model = nn.Model(specs, input_shape, seed=3)
+    rng = np.random.default_rng(4)
+    model.forward(rng.standard_normal((2,) + input_shape))
+    kept = [{name: getattr(layer, name) for name in CACHES if hasattr(layer, name)}
+            for layer in model.layers]
+    x = np.abs(rng.standard_normal((5,) + input_shape))
+    out = model.infer(x)
+    tapped = [model.infer(x, upto) for upto in range(len(model.layers))]
+    for layer, before in zip(model.layers, kept):
+        assert all(getattr(layer, name) is value for name, value in before.items())
+    act = x.astype(np.float32)
+    for layer, got in zip(model.layers, tapped):        # forward's activation at each layer
+        act = layer.forward(act)
+        assert got.dtype == act.dtype and got.shape == act.shape
+        assert got.tobytes() == act.tobytes()
+    assert out.tobytes() == model.forward(x).tobytes()
 
 
 def test_conv_kernel_larger_than_input_rejected():
